@@ -48,8 +48,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.adversary.base import PASS, Adversary, Move, PacketInfo, make_deliver
 from repro.checkers.endtoend import EndToEndMonitor
 from repro.checkers.trace import Trace
@@ -71,6 +69,8 @@ from repro.sim.simulator import SimulationResult, Simulator
 from repro.transport.network import (
     LinkState,
     Network,
+    UpKey,
+    check_rates,
     disjoint_routes,
     line_network,
     mesh_network,
@@ -293,6 +293,7 @@ class FabricSpec:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.messages < 0:
             raise ConfigurationError("messages must be >= 0")
+        check_rates(fail_rate=self.fail_rate, repair_rate=self.repair_rate)
         if self.engine not in ("object", "kernel"):
             raise ConfigurationError(
                 f"engine must be 'object' or 'kernel', got {self.engine!r}"
@@ -422,7 +423,8 @@ class FabricRun:
         self.completed = False
 
         self._route: Optional[List] = None
-        self._up_graph: Optional[nx.Graph] = None
+        # This tick's up-set, read on the first route lookup that needs it.
+        self._up_key: Optional[UpKey] = None
 
     # -- fault-plan interpretation ----------------------------------------------------
 
@@ -474,7 +476,7 @@ class FabricRun:
                 state.up = False
             elif tick == window.end + 1:
                 state.up = True  # deterministic heal closes the partition
-        self._up_graph = None
+        self._up_key = None
         route = self._route
         if route is not None and not self._route_up(route):
             self._route = None
@@ -499,10 +501,12 @@ class FabricRun:
 
     # -- routing ----------------------------------------------------------------------
 
-    def _up(self) -> nx.Graph:
-        if self._up_graph is None:
-            self._up_graph = self.network.up_subgraph()
-        return self._up_graph
+    def _path(self, origin: object, target: object) -> Optional[List]:
+        """This tick's shortest up path (memoised by :meth:`Network.route`)."""
+        key = self._up_key
+        if key is None:
+            key = self._up_key = self.network.up_key()
+        return self.network.route(origin, target, key)
 
     def _route_up(self, route: List) -> bool:
         edge_state = self._edge_state
@@ -519,13 +523,9 @@ class FabricRun:
         # route with a downed edge, so no per-frame re-verification.
         route = self._route
         if route is None:
-            try:
-                route = nx.shortest_path(
-                    self._up(), self.network.source, self.network.destination
-                )
-            except nx.NetworkXNoPath:
-                route = None
-            self._route = route
+            route = self._route = self._path(
+                self.network.source, self.network.destination
+            )
         return route
 
     def _next_hop(self, node: object, toward_destination: bool) -> Optional[object]:
@@ -545,10 +545,8 @@ class FabricRun:
         )
         if node == target:
             return None
-        try:
-            return nx.shortest_path(self._up(), node, target)[1]
-        except nx.NetworkXNoPath:
-            return None
+        path = self._path(node, target)
+        return None if path is None else path[1]
 
     # -- endpoints --------------------------------------------------------------------
 

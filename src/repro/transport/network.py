@@ -10,7 +10,8 @@ path ... replacing the path only when an error is detected [HK89]").
 up/down state (a two-state Markov chain per link) and a latency.  The relay
 strategies in :mod:`repro.transport.routing` propagate packets across it,
 producing the loss, duplication and reordering the end-to-end data link
-must survive.
+must survive.  :meth:`Network.route` is the one routing primitive the
+relays and the fabric share: the shortest up path, memoised on the up-set.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.random_source import RandomSource
 __all__ = [
     "LinkState",
     "Network",
+    "check_rates",
     "disjoint_routes",
     "line_network",
     "ring_network",
@@ -33,6 +35,14 @@ __all__ = [
 ]
 
 Edge = Tuple[object, object]
+UpKey = Tuple[bool, ...]
+
+
+def check_rates(**rates: float) -> None:
+    """Reject a link fail/repair rate outside [0, 1]: both are probabilities."""
+    for name, value in rates.items():
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
 
 
 def _normalize(edge: Edge) -> Edge:
@@ -70,7 +80,7 @@ class Network:
         The two endpoints running the data-link protocol.
     fail_rate / repair_rate / latency:
         Defaults applied to every link (overridable per edge via
-        :meth:`configure_link`).
+        :meth:`configure_link`).  Both rates must lie in [0, 1].
     """
 
     def __init__(
@@ -88,6 +98,7 @@ class Network:
             raise ConfigurationError("source and destination must differ")
         if not nx.is_connected(graph):
             raise ConfigurationError("the network graph must be connected")
+        check_rates(fail_rate=fail_rate, repair_rate=repair_rate)
         self.graph = graph
         self.source = source
         self.destination = destination
@@ -97,6 +108,8 @@ class Network:
             )
             for edge in graph.edges()
         }
+        # route() results keyed on (up_key(), origin, target).
+        self._routes: Dict[Tuple[UpKey, object, object], Optional[List]] = {}
 
     # -- link management ------------------------------------------------------------
 
@@ -110,9 +123,14 @@ class Network:
     def configure_link(self, a, b, **attrs) -> None:
         """Override fail_rate / repair_rate / latency / up on one link."""
         state = self.link(a, b)
-        for key, value in attrs.items():
+        for key in attrs:
             if not hasattr(state, key):
                 raise ConfigurationError(f"LinkState has no attribute {key!r}")
+        check_rates(**{
+            key: value for key, value in attrs.items()
+            if key in ("fail_rate", "repair_rate")
+        })
+        for key, value in attrs.items():
             setattr(state, key, value)
 
     def tick(self, rng: RandomSource) -> None:
@@ -134,12 +152,35 @@ class Network:
         sub.add_edges_from(up_edges)
         return sub
 
+    def up_key(self) -> UpKey:
+        """The up-set as a hashable key: every link's up flag, in link order."""
+        return tuple([state.up for state in self._links.values()])
+
+    def route(self, origin, target, up_key: Optional[UpKey] = None) -> Optional[List]:
+        """Shortest origin→target path over up links, or None if cut off.
+
+        The path networkx picks depends only on which links are up, so it
+        is memoised for the life of this network on ``(up-set, origin,
+        target)``; a miss searches :meth:`up_subgraph`, and a partition is
+        memoised as None.  A caller that knows no link changed since it
+        read :meth:`up_key` may pass that key instead of having it re-read.
+        Returned paths are shared between callers: never mutate one.
+        """
+        key = (self.up_key() if up_key is None else up_key, origin, target)
+        try:
+            return self._routes[key]
+        except KeyError:
+            pass
+        try:
+            path = nx.shortest_path(self.up_subgraph(), origin, target)
+        except nx.NetworkXNoPath:
+            path = None
+        self._routes[key] = path
+        return path
+
     def shortest_up_path(self) -> Optional[List]:
         """Shortest source→destination path over up links, or None."""
-        try:
-            return nx.shortest_path(self.up_subgraph(), self.source, self.destination)
-        except nx.NetworkXNoPath:
-            return None
+        return self.route(self.source, self.destination)
 
     @property
     def edge_count(self) -> int:

@@ -24,8 +24,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.random_source import RandomSource
 from repro.transport.network import Network
 
@@ -168,7 +166,8 @@ class PathRelay(RelayStrategy):
             self._paths[direction] = path = None
             self.reroutes += 1
         if path is None:
-            path = self._recompute(origin, target)
+            self.path_repairs += 1
+            path = self.network.route(origin, target)
         if path is None:
             self.losses += 1
             return []
@@ -178,13 +177,3 @@ class PathRelay(RelayStrategy):
             elapsed += self.network.link(hop_from, hop_to).latency
         self._paths[direction] = path
         return [Arrival(token=token, arrive_at=now + elapsed)]
-
-    def _recompute(self, origin, target) -> Optional[List]:
-        self.path_repairs += 1
-        try:
-            path = nx.shortest_path(self.network.up_subgraph(), origin, target)
-        except nx.NetworkXNoPath:
-            return None
-        key = "fwd" if origin == self.network.source else "rev"
-        self._paths[key] = path
-        return path

@@ -265,8 +265,42 @@ class TestTopologyEngineOptions:
         assert "ok" in out
 
 
+def _leg(**fields):
+    leg = dict(messages=40, ticks=100, wall_seconds=0.1,
+               messages_per_second=400.0)
+    leg.update(fields)
+    return leg
+
+
+@pytest.fixture
+def stub_relay_legs(monkeypatch):
+    """Replace the timed relay bench legs with fixed results.
+
+    The ``--out`` merge guard and the floor gate are pure payload logic;
+    the real legs time fabric runs, so a busy host could push
+    ``relay_kernel_speedup`` under its floor and fail a test that is not
+    about speed.  Returns the stubbed kernel leg so a test can lower its
+    speedup.
+    """
+    from repro.perf import bench
+
+    kernel = {"object": _leg(hops=4, pairs=5),
+              "kernel": _leg(hops=4, pairs=5, speedup_median=4.4)}
+    monkeypatch.setattr(bench, "_bench_relay", lambda messages, seed: {
+        "line_1": _leg(hops=1), "line_4": _leg(hops=4),
+    })
+    monkeypatch.setattr(bench, "_bench_relay_kernel",
+                        lambda messages, seed: kernel)
+    monkeypatch.setattr(bench, "_bench_relay_stripe", lambda messages, seed: {
+        "paths_1": _leg(paths=1, ticks=200), "paths_2": _leg(paths=2),
+    })
+    return kernel
+
+
 class TestBenchQuickOutGuard:
-    def test_quick_does_not_clobber_full_baseline(self, tmp_path, capsys):
+    def test_quick_does_not_clobber_full_baseline(
+        self, tmp_path, capsys, stub_relay_legs
+    ):
         import json
 
         out_path = tmp_path / "BENCH.json"
@@ -286,7 +320,7 @@ class TestBenchQuickOutGuard:
         assert merged["quick_smoke"]["quick"] is True
         assert "relay_kernel_speedup" in merged["quick_smoke"]["ratios"]
 
-    def test_quick_writes_fresh_file_directly(self, tmp_path):
+    def test_quick_writes_fresh_file_directly(self, tmp_path, stub_relay_legs):
         import json
 
         out_path = tmp_path / "BENCH.json"
@@ -297,3 +331,9 @@ class TestBenchQuickOutGuard:
         payload = json.loads(out_path.read_text())
         assert payload["quick"] is True
         assert "quick_smoke" not in payload
+
+    def test_leg_below_floor_fails_the_gate(self, capsys, stub_relay_legs):
+        stub_relay_legs["kernel"]["speedup_median"] = 3.9
+        code = main(["bench", "--only", "relay"])
+        assert code == 1
+        assert "REGRESSION relay_kernel_speedup" in capsys.readouterr().out

@@ -308,6 +308,10 @@ class TestRelayFabric:
             FabricSpec(topology="torus")
         with pytest.raises(ConfigurationError):
             FabricSpec(window=0)
+        for rates in ({"fail_rate": 1.5}, {"fail_rate": -0.1},
+                      {"repair_rate": 2.0}):
+            with pytest.raises(ConfigurationError):
+                FabricSpec(**rates)
 
     def test_run_supervised_interprets_plan_projection(self):
         spec = FabricSpec(topology="line", size=4, messages=10)

@@ -102,6 +102,17 @@ class TestNetwork:
         assert path is not None  # the other way around survives
         assert path[0] == 0 and path[-1] == 3
 
+    @pytest.mark.parametrize("rates", [
+        {"fail_rate": 1.5}, {"fail_rate": -0.1}, {"repair_rate": 2.0},
+    ])
+    def test_rejects_out_of_range_rates(self, rates):
+        with pytest.raises(ConfigurationError):
+            line_network(3, **rates)
+        net = line_network(3)
+        with pytest.raises(ConfigurationError):
+            net.configure_link(0, 1, latency=5, **rates)
+        assert net.link(0, 1) == LinkState()  # nothing half-applied
+
     def test_tick_advances_all_links(self):
         net = line_network(5, fail_rate=1.0, repair_rate=0.0)
         net.tick(RandomSource(0))
