@@ -82,7 +82,10 @@ __all__ = ["FabricSpec", "FabricRun", "DATA", "ACK"]
 DATA = b"D"
 ACK = b"A"
 
-_TOPOLOGIES = ("line", "ring", "mesh")
+#: Each topology with the smallest size its network function accepts
+#: (line hops, ring nodes, mesh side).
+_MIN_SIZE = {"line": 1, "ring": 3, "mesh": 2}
+_TOPOLOGIES = tuple(_MIN_SIZE)
 
 
 def _encode_frame(kind: bytes, seq: int, uid: int) -> bytes:
@@ -291,6 +294,11 @@ class FabricSpec:
                      "window", "rto", "retry_every", "paths"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.size < _MIN_SIZE[self.topology]:
+            raise ConfigurationError(
+                f"a {self.topology} needs size >= {_MIN_SIZE[self.topology]}, "
+                f"got {self.size}"
+            )
         if self.messages < 0:
             raise ConfigurationError("messages must be >= 0")
         check_rates(fail_rate=self.fail_rate, repair_rate=self.repair_rate)
@@ -305,8 +313,8 @@ class FabricSpec:
         if self.topology == "line":
             return line_network(self.size, **kwargs)
         if self.topology == "ring":
-            return ring_network(max(self.size, 3), **kwargs)
-        return mesh_network(max(self.size, 2), **kwargs)
+            return ring_network(self.size, **kwargs)
+        return mesh_network(self.size, **kwargs)
 
     def run_supervised(
         self,

@@ -11,7 +11,8 @@ up/down state (a two-state Markov chain per link) and a latency.  The relay
 strategies in :mod:`repro.transport.routing` propagate packets across it,
 producing the loss, duplication and reordering the end-to-end data link
 must survive.  :meth:`Network.route` is the one routing primitive the
-relays and the fabric share: the shortest up path, memoised on the up-set.
+relays and the fabric share: the shortest up path, memoised on the up-set
+and searched over a prebuilt up-adjacency rather than a networkx graph.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ def check_rates(**rates: float) -> None:
             raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
 
 
+def _join(pred: Dict, succ: Dict, meet) -> List:
+    """The path through ``meet``: its predecessor chain, then its successors."""
+    path = []
+    node = meet
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = succ[meet]
+    while node is not None:
+        path.append(node)
+        node = succ[node]
+    return path
+
+
 def _normalize(edge: Edge) -> Edge:
     a, b = edge
     return (a, b) if repr(a) <= repr(b) else (b, a)
@@ -52,21 +68,17 @@ def _normalize(edge: Edge) -> Edge:
 
 @dataclass
 class LinkState:
-    """One link's dynamic state: up/down plus the Markov toggle rates."""
+    """One link's dynamic state: up/down plus the Markov toggle rates.
+
+    :meth:`Network.tick` steps the chain: an up link fails with
+    probability ``fail_rate``, a down link is repaired with probability
+    ``repair_rate``.
+    """
 
     up: bool = True
     fail_rate: float = 0.0
     repair_rate: float = 0.2
     latency: int = 1
-
-    def tick(self, rng: RandomSource) -> None:
-        """Advance the two-state Markov chain by one time step."""
-        if self.up:
-            if self.fail_rate and rng.bernoulli(self.fail_rate):
-                self.up = False
-        else:
-            if rng.bernoulli(self.repair_rate):
-                self.up = True
 
 
 class Network:
@@ -108,6 +120,17 @@ class Network:
             )
             for edge in graph.edges()
         }
+        # Link states in link order: the Markov step's draw order.
+        self._states: List[LinkState] = list(self._links.values())
+        # Every node's (neighbour, link state) pairs in link order, so its
+        # up neighbours come out in the order up_subgraph() lists them.
+        self._adjacency: Dict[object, List[Tuple[object, LinkState]]] = {
+            node: [] for node in graph.nodes()
+        }
+        for (a, b), state in self._links.items():
+            self._adjacency[a].append((b, state))
+            if a != b:
+                self._adjacency[b].append((a, state))
         # route() results keyed on (up_key(), origin, target).
         self._routes: Dict[Tuple[UpKey, object, object], Optional[List]] = {}
 
@@ -134,9 +157,25 @@ class Network:
             setattr(state, key, value)
 
     def tick(self, rng: RandomSource) -> None:
-        """Advance every link's failure process by one step."""
-        for state in self._links.values():
-            state.tick(rng)
+        """Advance every link's two-state Markov chain by one step.
+
+        Links draw in link order, one uniform each: an up link with
+        ``fail_rate`` 0 draws nothing, a down link always draws.  A rate
+        outside [0, 1] raises the ``ValueError`` of
+        :meth:`RandomSource.bernoulli`, whose tape this is.
+        """
+        draw = rng.random_float
+        for state in self._states:
+            if state.up:
+                rate = state.fail_rate
+                if not rate:
+                    continue
+            else:
+                rate = state.repair_rate
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"probability {rate} outside [0, 1]")
+            if draw() < rate:
+                state.up = not state.up
 
     def link_up(self, a, b) -> bool:
         """True iff the link between two adjacent nodes is currently up."""
@@ -154,29 +193,64 @@ class Network:
 
     def up_key(self) -> UpKey:
         """The up-set as a hashable key: every link's up flag, in link order."""
-        return tuple([state.up for state in self._links.values()])
+        return tuple([state.up for state in self._states])
 
     def route(self, origin, target, up_key: Optional[UpKey] = None) -> Optional[List]:
         """Shortest origin→target path over up links, or None if cut off.
 
-        The path networkx picks depends only on which links are up, so it
-        is memoised for the life of this network on ``(up-set, origin,
-        target)``; a miss searches :meth:`up_subgraph`, and a partition is
-        memoised as None.  A caller that knows no link changed since it
-        read :meth:`up_key` may pass that key instead of having it re-read.
-        Returned paths are shared between callers: never mutate one.
+        The path depends only on which links are up, so it is memoised for
+        the life of this network on ``(up-set, origin, target)``; a miss
+        runs :meth:`_search`, and a partition is memoised as None.  A
+        caller that knows no link changed since it read :meth:`up_key` may
+        pass that key instead of having it re-read.  Returned paths are
+        shared between callers: never mutate one.
         """
+        adjacency = self._adjacency
+        for node in (origin, target):
+            if node not in adjacency:
+                raise ConfigurationError(f"{node!r} is not a node of this network")
         key = (self.up_key() if up_key is None else up_key, origin, target)
         try:
             return self._routes[key]
         except KeyError:
             pass
-        try:
-            path = nx.shortest_path(self.up_subgraph(), origin, target)
-        except nx.NetworkXNoPath:
-            path = None
-        self._routes[key] = path
+        path = self._routes[key] = self._search(origin, target)
         return path
+
+    def _search(self, origin, target) -> Optional[List]:
+        """Bidirectional breadth-first search over the up links.
+
+        Takes the steps of networkx's ``bidirectional_shortest_path`` on
+        :meth:`up_subgraph` — expand the smaller fringe (the forward one on
+        a tie), test every scanned neighbour for a meeting, then join the
+        predecessor and successor chains at it — over the same neighbour
+        order, so it returns the path networkx would, without building a
+        graph.
+        """
+        if origin == target:
+            return [origin]
+        adjacency = self._adjacency
+        pred = {origin: None}
+        succ = {target: None}
+        forward = [origin]
+        reverse = [target]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                level, forward = forward, []
+                fringe, seen, other = forward, pred, succ
+            else:
+                level, reverse = reverse, []
+                fringe, seen, other = reverse, succ, pred
+            for v in level:
+                for w, state in adjacency[v]:
+                    if not state.up:
+                        continue
+                    if w not in seen:
+                        fringe.append(w)
+                        seen[w] = v
+                    if w in other:
+                        return _join(pred, succ, w)
+        return None
 
     def shortest_up_path(self) -> Optional[List]:
         """Shortest source→destination path over up links, or None."""

@@ -312,6 +312,13 @@ class TestRelayFabric:
                       {"repair_rate": 2.0}):
             with pytest.raises(ConfigurationError):
                 FabricSpec(**rates)
+        # Sizes ring_network and mesh_network refuse are refused up front,
+        # not silently run at the smallest size they take.
+        for topology, size in (("ring", 2), ("mesh", 1)):
+            with pytest.raises(ConfigurationError, match=topology):
+                FabricSpec(topology=topology, size=size)
+        assert FabricSpec(topology="ring", size=3).build_network().edge_count == 3
+        assert FabricSpec(topology="mesh", size=2).build_network().edge_count == 4
 
     def test_run_supervised_interprets_plan_projection(self):
         spec = FabricSpec(topology="line", size=4, messages=10)

@@ -18,24 +18,80 @@ from repro.transport.network import (
 
 class TestLinkState:
     def test_stays_up_without_failures(self):
-        state = LinkState(fail_rate=0.0)
+        net = line_network(1, fail_rate=0.0)
         rng = RandomSource(0)
         for __ in range(100):
-            state.tick(rng)
-        assert state.up
+            net.tick(rng)
+        assert net.link_up(0, 1)
 
     def test_fails_and_repairs(self):
-        state = LinkState(fail_rate=0.5, repair_rate=0.5)
+        net = line_network(1, fail_rate=0.5, repair_rate=0.5)
         rng = RandomSource(1)
         saw_down = saw_up_again = False
         for __ in range(200):
-            was_up = state.up
-            state.tick(rng)
-            if was_up and not state.up:
+            was_up = net.link_up(0, 1)
+            net.tick(rng)
+            if was_up and not net.link_up(0, 1):
                 saw_down = True
-            if saw_down and state.up:
+            if saw_down and net.link_up(0, 1):
                 saw_up_again = True
         assert saw_down and saw_up_again
+
+    @pytest.mark.parametrize("up, attr", [(True, "fail_rate"),
+                                          (False, "repair_rate")])
+    def test_rate_outside_unit_interval_raises_on_tick(self, up, attr):
+        net = line_network(1)
+        state = net.link(0, 1)
+        state.up = up
+        setattr(state, attr, 1.5)  # bypasses configure_link's check
+        with pytest.raises(ValueError, match="outside"):
+            net.tick(RandomSource(0))
+
+
+def _reference_tick(net: Network, rng: RandomSource) -> None:
+    """The Markov step as one ``RandomSource.bernoulli`` per link, in link order."""
+    for a, b in net.graph.edges():
+        state = net.link(a, b)
+        if state.up:
+            if state.fail_rate and rng.bernoulli(state.fail_rate):
+                state.up = False
+        else:
+            if rng.bernoulli(state.repair_rate):
+                state.up = True
+
+
+#: Per-link overrides, cycled over the links in order: a link that never
+#: fails, one never repaired, one repaired at once, and two churning ones.
+_LINK_RATES = (
+    {"fail_rate": 0.0},
+    {"repair_rate": 0.0},
+    {"repair_rate": 1.0},
+    {"fail_rate": 0.3, "repair_rate": 0.5},
+    {"fail_rate": 1.0, "repair_rate": 0.05},
+)
+
+
+class TestMarkovTape:
+    @pytest.mark.parametrize("build", [
+        lambda: line_network(4, fail_rate=0.1, repair_rate=0.3),
+        lambda: ring_network(8, fail_rate=0.1, repair_rate=0.3),
+        lambda: mesh_network(3, fail_rate=0.1, repair_rate=0.3),
+    ], ids=["line4", "ring8", "mesh3"])
+    def test_tick_draws_the_reference_tape(self, build):
+        nets = build(), build()
+        for net in nets:
+            for i, (a, b) in enumerate(net.graph.edges()):
+                net.configure_link(a, b, **_LINK_RATES[i % len(_LINK_RATES)])
+        edges = list(nets[0].graph.edges())
+        rngs = RandomSource(2024), RandomSource(2024)
+        for tick in range(2000):
+            if tick == 1000:
+                for net in nets:
+                    net.configure_link(*edges[0], up=False)
+            nets[0].tick(rngs[0])
+            _reference_tick(nets[1], rngs[1])
+            assert nets[0].up_key() == nets[1].up_key(), tick
+        assert rngs[0].random_float() == rngs[1].random_float()
 
 
 class TestTopologies:
@@ -112,6 +168,14 @@ class TestNetwork:
         with pytest.raises(ConfigurationError):
             net.configure_link(0, 1, latency=5, **rates)
         assert net.link(0, 1) == LinkState()  # nothing half-applied
+
+    @pytest.mark.parametrize("origin, target", [(99, 0), (0, 99)])
+    def test_route_rejects_unknown_endpoint(self, origin, target):
+        net = line_network(3)
+        with pytest.raises(ConfigurationError, match="99"):
+            net.route(origin, target)
+        assert net._routes == {}  # nothing memoised
+        assert net.route(0, 3) == [0, 1, 2, 3]
 
     def test_tick_advances_all_links(self):
         net = line_network(5, fail_rate=1.0, repair_rate=0.0)

@@ -2,13 +2,13 @@
 against recorded runs.
 
 ``Network.route`` memoises the shortest up path on (up-set, origin,
-target).  Part (a) checks the memo against a fresh networkx search for
-every up-set of a 4-hop line and an 8-node ring (and a seeded sample of
-3x3-mesh up-sets), over every ordered node pair, including after the
-up-set returns to one seen before.  Part (b) pins whole fabric runs to a
-table recorded before routes were memoised: the kernel-vs-object
-differential suite cannot catch a routing change, since both engines
-share the router.
+target) and fills a miss with its own bidirectional search.  Part (a)
+checks every route against a fresh networkx search on every up-set of
+lines of 1-8 hops, rings of 3-10 nodes and the 2x2 and 3x3 meshes, over
+every ordered node pair, and that a revisited up-set returns the memoised
+path.  Part (b) pins whole fabric runs to a table recorded while every
+lookup was a fresh networkx search: the kernel-vs-object differential
+suite cannot catch a routing change, since both engines share the router.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import pytest
 from repro.core.events import ReceiveMsg
 from repro.resilience.faultplan import LinkDownWindow, RelayCrashAt, RouteFlapAt
 from repro.transport.fabric import FabricRun, FabricSpec
-from repro.transport.network import line_network, mesh_network, ring_network
+from repro.transport.network import Network, line_network, mesh_network, ring_network
 
-# -- (a) the memo agrees with networkx on every up-set ------------------------------
+# -- (a) routes agree with networkx on every up-set --------------------------------
 
 
 def _set_up_links(net, mask: int) -> None:
@@ -41,17 +41,24 @@ def _search(up: nx.Graph, origin, target):
 
 
 def _check_against_networkx(net, masks) -> dict:
-    """Every pair's memoised route equals a fresh search; returns them all."""
+    """Every pair's route equals networkx's on the first visit to its
+    up-set and is the memoised path on every later one; returns them all."""
     nodes = list(net.graph.nodes())
     routes = {}
     for mask in masks:
         _set_up_links(net, mask)
-        up = net.up_subgraph()
+        up = None
         for origin in nodes:
             for target in nodes:
                 route = net.route(origin, target)
-                assert route == _search(up, origin, target), (mask, origin, target)
-                routes[mask, origin, target] = route
+                key = mask, origin, target
+                if key in routes:
+                    assert route is routes[key], key
+                    continue
+                if up is None:
+                    up = net.up_subgraph()
+                assert route == _search(up, origin, target), key
+                routes[key] = route
     return routes
 
 
@@ -63,16 +70,20 @@ def _all_masks_twice(links: int) -> list:
     return masks + again
 
 
-@pytest.mark.parametrize("net", [line_network(4), ring_network(8)],
-                         ids=["line4", "ring8"])
-def test_every_up_set_matches_networkx(net):
+NETWORKS = {
+    **{f"line{hops}": (line_network, hops) for hops in range(1, 9)},
+    **{f"ring{nodes}": (ring_network, nodes) for nodes in range(3, 11)},
+    "mesh2": (mesh_network, 2),
+    # 4096 up-sets x 81 node pairs: several seconds of networkx searches.
+    "mesh3": pytest.param((mesh_network, 3), marks=pytest.mark.slow),
+}
+
+
+@pytest.mark.parametrize("topology", list(NETWORKS.values()), ids=list(NETWORKS))
+def test_every_up_set_matches_networkx(topology):
+    build, size = topology
+    net = build(size)
     _check_against_networkx(net, _all_masks_twice(net.edge_count))
-
-
-def test_sampled_mesh_up_sets_match_networkx():
-    rng = random.Random(3)
-    masks = [rng.getrandbits(12) for _ in range(48)]
-    _check_against_networkx(mesh_network(3), masks + masks[::-3])
 
 
 def test_revisited_up_sets_are_memo_hits(monkeypatch):
@@ -80,12 +91,29 @@ def test_revisited_up_sets_are_memo_hits(monkeypatch):
     routes = _check_against_networkx(net, range(2 ** 8))
 
     def no_search(*args, **kwargs):
-        raise AssertionError("networkx searched an up-set already memoised")
+        raise AssertionError("searched an up-set already memoised")
 
-    monkeypatch.setattr(nx, "shortest_path", no_search)
+    monkeypatch.setattr(Network, "_search", no_search)
     for mask, origin, target in reversed(list(routes)):
         _set_up_links(net, mask)
         assert net.route(origin, target) is routes[mask, origin, target]
+
+
+def test_misses_call_no_networkx(monkeypatch):
+    net = ring_network(6)
+    nodes = list(net.graph.nodes())
+
+    def no_networkx(*args, **kwargs):
+        raise AssertionError("a route miss called networkx")
+
+    for name in ("Graph", "shortest_path", "bidirectional_shortest_path"):
+        monkeypatch.setattr(nx, name, no_networkx)
+    monkeypatch.setattr(Network, "up_subgraph", no_networkx)
+    for mask in range(2 ** 6):
+        _set_up_links(net, mask)
+        for origin in nodes:
+            for target in nodes:
+                net.route(origin, target)
 
 
 def test_partition_is_memoised_as_none():
