@@ -120,12 +120,26 @@ class StabilizationReport:
 
     @classmethod
     def from_wire(cls, wire: tuple) -> "StabilizationReport":
+        corruptions, converged, window, records = wire
+        if not (corruptions or converged or records):
+            # A corruption-free run (nearly every run of a campaign) decodes
+            # to one shared frozen instance per window: campaigns keep every
+            # run's report, and a fresh copy each would be pure overhead.
+            clean = _CLEAN_REPORTS.get(window)
+            if clean is None:
+                clean = _CLEAN_REPORTS[window] = cls(0, 0, window)
+            return clean
         return cls(
-            corruptions=wire[0],
-            converged=wire[1],
-            window=wire[2],
-            records=tuple(ConvergenceRecord.from_wire(r) for r in wire[3]),
+            corruptions=corruptions,
+            converged=converged,
+            window=window,
+            records=tuple(ConvergenceRecord.from_wire(r) for r in records),
         )
+
+
+#: window -> the report every corruption-free run decodes to (see
+#: from_wire).  The reports are frozen, so every caller may share them.
+_CLEAN_REPORTS: Dict[int, StabilizationReport] = {}
 
 
 class _Episode:

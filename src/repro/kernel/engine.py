@@ -65,7 +65,10 @@ from repro.core.events import (
     CrashR,
     CrashT,
     Ok,
+    PktDelivered,
+    PktSent,
     ReceiveMsg,
+    Retry,
     SendMsg,
     make_pkt_delivered,
     make_pkt_sent,
@@ -330,16 +333,20 @@ def _run_fast(sim, mode):
 
     # Direct checker dispatch: when the trace stores nothing and its only
     # observer is the streaming checker, resolve each emitted event class
-    # to the monitors' bound handler tuple once, up front.  ``h_send is
-    # None`` means "no fast path" and every site falls back to
-    # ``trace.append`` (full/tail retention, extra observers, no checks).
+    # -- the packet and retry classes too, when the run records them -- to
+    # the monitors' bound handler tuple once, up front.  ``h_send is None``
+    # means "no fast path" and every site falls back to ``trace.append``
+    # (full/tail retention, extra observers, no checks).  The packet and
+    # retry handlers stay None unless recorded; their counts are settled
+    # at exit from the same deltas the untraced tallies use.
     h_send = h_recv = h_ok = h_ct = h_cr = None
+    h_psent = h_pdel = h_retry = None
     timed = False
     stride = _TIMED_STRIDE
     ev_total = seen = samples = 0
     sampled = 0.0
     n_send = n_recv = n_ok = n_ct = n_cr = 0
-    if trace._retain == "none" and not (rec_sent or rec_deliv or rec_retry):
+    if trace._retain == "none":
         if checks is not None:
             observe = checks.observe
             table = checks._table
@@ -348,7 +355,14 @@ def _run_fast(sim, mode):
             table = None
             expected = ()
         resolved = []
-        for _cls in (SendMsg, ReceiveMsg, Ok, CrashT, CrashR):
+        for _cls, _rec in (
+            (SendMsg, True), (ReceiveMsg, True), (Ok, True), (CrashT, True),
+            (CrashR, True), (PktSent, rec_sent), (PktDelivered, rec_deliv),
+            (Retry, rec_retry),
+        ):
+            if not _rec:
+                resolved.append(None)
+                continue
             _obs = trace._observer_cache.get(_cls)
             if _obs is None:
                 _obs = trace._resolve_observers(_cls)
@@ -363,7 +377,8 @@ def _run_fast(sim, mode):
                 _handlers = _resolve_subclass(table, _cls)
             resolved.append(_handlers)
         if resolved is not None:
-            h_send, h_recv, h_ok, h_ct, h_cr = resolved
+            (h_send, h_recv, h_ok, h_ct, h_cr,
+             h_psent, h_pdel, h_retry) = resolved
             ev_total = trace._total
             if checks is not None:
                 timed = checks._timed
@@ -557,7 +572,22 @@ def _run_fast(sim, mode):
                     ) << 3
                     tr_bits += length
                     if rec_sent:
-                        trace_append(mk_psent(T2R, pid, length))
+                        if h_psent is None:
+                            trace_append(mk_psent(T2R, pid, length))
+                        else:
+                            ev = mk_psent(T2R, pid, length)
+                            idx = ev_total
+                            ev_total = idx + 1
+                            seen += 1
+                            if timed and seen % stride == 1:
+                                _t0 = pc()
+                                for h in h_psent:
+                                    h(idx, ev)
+                                sampled += pc() - _t0
+                                samples += 1
+                            else:
+                                for h in h_psent:
+                                    h(idx, ev)
                     if is_fair:
                         if not seen_t:
                             seen_t = True
@@ -580,7 +610,21 @@ def _run_fast(sim, mode):
             else:
                 retry_countdown = retry_every
                 if rec_retry:
-                    trace_append(EV_RETRY)
+                    if h_retry is None:
+                        trace_append(EV_RETRY)
+                    else:
+                        idx = ev_total
+                        ev_total = idx + 1
+                        seen += 1
+                        if timed and seen % stride == 1:
+                            _t0 = pc()
+                            for h in h_retry:
+                                h(idx, EV_RETRY)
+                            sampled += pc() - _t0
+                            samples += 1
+                        else:
+                            for h in h_retry:
+                                h(idx, EV_RETRY)
                 m_retries += 1
                 pid = rt_next
                 rt_next = pid + 1
@@ -591,7 +635,22 @@ def _run_fast(sim, mode):
                 r_i += 1
                 rs_sent += 1
                 if rec_sent:
-                    trace_append(mk_psent(R2T, pid, length))
+                    if h_psent is None:
+                        trace_append(mk_psent(R2T, pid, length))
+                    else:
+                        ev = mk_psent(R2T, pid, length)
+                        idx = ev_total
+                        ev_total = idx + 1
+                        seen += 1
+                        if timed and seen % stride == 1:
+                            _t0 = pc()
+                            for h in h_psent:
+                                h(idx, ev)
+                            sampled += pc() - _t0
+                            samples += 1
+                        else:
+                            for h in h_psent:
+                                h(idx, ev)
                 if is_fair:
                     if not seen_r:
                         seen_r = True
@@ -702,7 +761,22 @@ def _run_fast(sim, mode):
                         raise UnknownPacketError(dpid)
                     tr_deliv += 1
                     if rec_deliv:
-                        trace_append(mk_pdel(T2R, dpid))
+                        if h_pdel is None:
+                            trace_append(mk_pdel(T2R, dpid))
+                        else:
+                            ev = mk_pdel(T2R, dpid)
+                            idx = ev_total
+                            ev_total = idx + 1
+                            seen += 1
+                            if timed and seen % stride == 1:
+                                _t0 = pc()
+                                for h in h_pdel:
+                                    h(idx, ev)
+                                sampled += pc() - _t0
+                                samples += 1
+                            else:
+                                for h in h_pdel:
+                                    h(idx, ev)
                     message, prv_, prl_, ptv, ptl = pkt
                     if prv_ == r_rho_v and prl_ == r_rho_l:
                         if r_tau_l <= ptl and (ptv >> (ptl - r_tau_l)) == r_tau_v:
@@ -783,7 +857,22 @@ def _run_fast(sim, mode):
                         raise UnknownPacketError(dpid)
                     rt_deliv += 1
                     if rec_deliv:
-                        trace_append(mk_pdel(R2T, dpid))
+                        if h_pdel is None:
+                            trace_append(mk_pdel(R2T, dpid))
+                        else:
+                            ev = mk_pdel(R2T, dpid)
+                            idx = ev_total
+                            ev_total = idx + 1
+                            seen += 1
+                            if timed and seen % stride == 1:
+                                _t0 = pc()
+                                for h in h_pdel:
+                                    h(idx, ev)
+                                sampled += pc() - _t0
+                                samples += 1
+                            else:
+                                for h in h_pdel:
+                                    h(idx, ev)
                     prv_, prl_, ptv, ptl, pretry = pkt
                     if t_busy:
                         if t_tau_l <= ptl and (ptv >> (ptl - t_tau_l)) == t_tau_v:
@@ -851,7 +940,22 @@ def _run_fast(sim, mode):
                                 ) << 3
                                 tr_bits += length
                                 if rec_sent:
-                                    trace_append(mk_psent(T2R, pid, length))
+                                    if h_psent is None:
+                                        trace_append(mk_psent(T2R, pid, length))
+                                    else:
+                                        ev = mk_psent(T2R, pid, length)
+                                        idx = ev_total
+                                        ev_total = idx + 1
+                                        seen += 1
+                                        if timed and seen % stride == 1:
+                                            _t0 = pc()
+                                            for h in h_psent:
+                                                h(idx, ev)
+                                            sampled += pc() - _t0
+                                            samples += 1
+                                        else:
+                                            for h in h_psent:
+                                                h(idx, ev)
                                 if is_fair:
                                     if not seen_t:
                                         seen_t = True
@@ -1091,14 +1195,20 @@ def _run_fast(sim, mode):
     sim._storage_countdown = storage_countdown
     sim._next_message = next_message
     sim._workload_exhausted = workload_exhausted
+    # The packet and retry counts are the channel/metric deltas: tallied
+    # when unrecorded, settled below when dispatched directly.
+    n_psent = (tr_sent - tr_sent0) + (rt_sent - rt_sent0)
+    n_pdel = (tr_deliv - tr_deliv0) + (rt_deliv - rt_deliv0)
+    n_retry = m_retries - m_retries0
     if not rec_sent:
-        sim._pkt_sent_tally += (tr_sent - tr_sent0) + (rt_sent - rt_sent0)
+        sim._pkt_sent_tally += n_psent
+        n_psent = 0
     if not rec_deliv:
-        sim._pkt_delivered_tally += (
-            (tr_deliv - tr_deliv0) + (rt_deliv - rt_deliv0)
-        )
+        sim._pkt_delivered_tally += n_pdel
+        n_pdel = 0
     if not rec_retry:
-        sim._retry_tally += m_retries - m_retries0
+        sim._retry_tally += n_retry
+        n_retry = 0
 
     if h_send is not None:
         # Settle the trace counters and checker bookkeeping the bypassed
@@ -1114,6 +1224,9 @@ def _run_fast(sim, mode):
             (Ok, n_ok),
             (CrashT, n_ct),
             (CrashR, n_cr),
+            (PktSent, n_psent),
+            (PktDelivered, n_pdel),
+            (Retry, n_retry),
         ):
             if n:
                 if cls in counts:

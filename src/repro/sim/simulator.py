@@ -237,14 +237,7 @@ class Simulator:
             if type(adversary).next_move is Adversary.next_move
             else None
         )
-        # Packet-level events are ~half the execution; skip allocating them
-        # when neither retention nor an observer would ever see one.  The
-        # skipped events are counted in plain ints here and flushed to the
-        # trace's counters in bulk (end of run(), or whenever the trace is
-        # read) — Trace.tally1 per event would still pay a call frame.
-        self._record_pkt_sent = self._trace.wants(PktSent)
-        self._record_pkt_delivered = self._trace.wants(PktDelivered)
-        self._record_retry = self._trace.wants(Retry)
+        self._read_recording_flags()
         self._pkt_sent_tally = 0
         self._pkt_delivered_tally = 0
         self._retry_tally = 0
@@ -263,6 +256,22 @@ class Simulator:
         self._retry_countdown = self._retry_every
         self._storage_countdown = self._storage_sample_every
         self._advance_workload()
+
+    def _read_recording_flags(self) -> None:
+        """Decide which packet-level events become real trace events.
+
+        Packet-level events are ~half the execution; skip allocating them
+        when neither retention nor an observer would ever see one.  The
+        skipped events are counted in plain ints and flushed to the trace's
+        counters in bulk (end of run(), or whenever the trace is read) —
+        Trace.tally1 per event would still pay a call frame.  Re-read when
+        ``run()`` starts, so an observer subscribed after construction sees
+        the events too.
+        """
+        trace = self._trace
+        self._record_pkt_sent = trace.wants(PktSent)
+        self._record_pkt_delivered = trace.wants(PktDelivered)
+        self._record_retry = trace.wants(Retry)
 
     def reset(
         self,
@@ -306,6 +315,7 @@ class Simulator:
         this is the engine's hottest couple of lines; keep the two in sync.
         :meth:`step` remains the single-step API.
         """
+        self._read_recording_flags()
         if self._engine == "kernel":
             from repro.kernel.engine import run_kernel
 

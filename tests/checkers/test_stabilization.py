@@ -212,3 +212,23 @@ class TestWireRoundTrip:
         assert decoded.records[0].seed == 9001
         assert decoded.records[0].fields == ("tau", "num")
         assert decoded.pending == 1
+
+    def test_clean_reports_decode_to_one_shared_instance(self):
+        wire = StabilizationReport(corruptions=0, converged=0, window=8).to_wire()
+        first = StabilizationReport.from_wire(wire)
+        second = StabilizationReport.from_wire(wire)
+        assert first is second
+        assert first == StabilizationReport(corruptions=0, converged=0, window=8)
+        other_window = StabilizationReport.from_wire((0, 0, 4, ()))
+        assert other_window.window == 4
+        assert other_window is not first
+
+    def test_reports_with_corruptions_are_not_shared(self):
+        wire = StabilizationReport(corruptions=1, converged=0, window=8).to_wire()
+        first = StabilizationReport.from_wire(wire)
+        second = StabilizationReport.from_wire(wire)
+        assert first is not second
+        assert first == second == StabilizationReport(
+            corruptions=1, converged=0, window=8
+        )
+        assert first.pending == 1

@@ -23,6 +23,8 @@ from repro.adversary.random_faults import (
     RandomFaultAdversary,
     ReorderAdversary,
 )
+from repro.checkers.streaming import StreamingChecks
+from repro.core.random_source import split_seed
 from repro.resilience.faultplan import (
     CorruptAt,
     CrashAt,
@@ -32,7 +34,8 @@ from repro.resilience.faultplan import (
     StallWindow,
     apply_fault_plan,
 )
-from repro.sim.runner import RunSpec, run_once
+from repro.sim.runner import RunOutcome, RunSpec, run_once
+from repro.sim.simulator import Simulator
 
 SEEDS = [0, 1, 7, 42, 1234]
 
@@ -303,6 +306,12 @@ def streaming_snapshot(outcome):
         "metrics": metrics_key(result.metrics),
         "safety": safety_key(outcome.safety),
         "liveness": outcome.liveness_passed,
+        "stabilization": stabilization_key(outcome.stabilization),
+        "axioms": None if checks.axiom1 is None else tuple(
+            (r.condition, r.passed, r.failure_count, r.trials)
+            for r in checks.axiom_reports()
+        ),
+        "timed_samples": checks._timed_samples,
         "transmitter": repr(t),
         "receiver": repr(r),
         "t_bits_drawn": t._rng.bits_drawn,
@@ -310,6 +319,41 @@ def streaming_snapshot(outcome):
         "t_stats": vars(t.stats).copy(),
         "r_stats": vars(r.stats).copy(),
     }
+
+
+def run_with_axioms(spec, seed):
+    """``run_once`` with the environment-axiom monitors on (RunSpec has no
+    switch for them), so the axiom-3 monitor observes packet events."""
+    checks = StreamingChecks(timed=True, axioms=True)
+    simulator = Simulator(
+        link=spec.link_factory(split_seed(seed, "link")),
+        adversary=spec.adversary_factory(),
+        workload=spec.workload_factory(split_seed(seed, "workload")),
+        seed=split_seed(seed, "adversary"),
+        max_steps=spec.max_steps,
+        retain=spec.retain,
+        checks=checks,
+        engine=spec.engine,
+    )
+    result = simulator.run()
+    return RunOutcome(
+        seed=seed,
+        result=result,
+        safety=checks.safety_report(),
+        liveness_passed=checks.liveness_report(result.completed).passed,
+    )
+
+
+def assert_streaming_equivalent(adversary_factory, seed, run=run_once,
+                                **overrides):
+    overrides.setdefault("retain", "none")
+    obj = streaming_snapshot(
+        run(build_spec(adversary_factory, "object", **overrides), seed)
+    )
+    ker = streaming_snapshot(
+        run(build_spec(adversary_factory, "kernel", **overrides), seed)
+    )
+    assert obj == ker
 
 
 class TestStreamingFastPath:
@@ -358,6 +402,47 @@ class TestStreamingFastPath:
                                 enforce_fairness=False), seed)
         )
         assert obj == ker
+
+
+class TestStreamingFastPathRecordedPackets:
+    """retain="none" runs whose monitors observe packet events (the
+    stabilization and axiom-3 monitors): PktSent/PktDelivered reach the
+    handlers through the kernel's direct dispatch too."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lossy_stabilization(self, seed):
+        factory = lambda: RandomFaultAdversary(
+            FaultProfile(loss=0.2, duplicate=0.05, reorder=0.1,
+                         crash_t=0.002, crash_r=0.002)
+        )
+        assert_streaming_equivalent(
+            factory, seed, stabilization=True, max_steps=30_000
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bare_random_stabilization(self, seed):
+        factory = lambda: RandomFaultAdversary(
+            FaultProfile(loss=0.1, reorder=0.1, duplicate=0.05)
+        )
+        assert_streaming_equivalent(
+            factory, seed, stabilization=True, enforce_fairness=False
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reliable_stabilization(self, seed):
+        assert_streaming_equivalent(
+            ReliableAdversary, seed, stabilization=True
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lossy_axioms(self, seed):
+        factory = lambda: RandomFaultAdversary(
+            FaultProfile(loss=0.2, duplicate=0.1, crash_t=0.001,
+                         crash_r=0.001)
+        )
+        assert_streaming_equivalent(
+            factory, seed, run=run_with_axioms, max_steps=30_000
+        )
 
 
 class TestVeneerSync:

@@ -10,7 +10,7 @@ from repro.adversary.fairness import FairnessEnforcer, StallingAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.checkers.axioms import check_axiom1, check_axiom2, check_axiom3_bounded
 from repro.checkers.safety import check_all_safety
-from repro.core.events import Ok, ReceiveMsg, SendMsg
+from repro.core.events import Ok, PktDelivered, PktSent, ReceiveMsg, Retry, SendMsg
 from repro.core.protocol import make_data_link
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
@@ -163,3 +163,30 @@ class TestHarnessContract:
         result = run(ReliableAdversary(), messages=3)
         assert len(result.metrics.storage_samples) == result.steps
         assert result.metrics.storage_peak_bits >= max(result.metrics.storage_samples[:1] or [0])
+
+    @pytest.mark.parametrize("engine", ["object", "kernel"])
+    def test_late_subscriber_sees_packet_events(self, engine):
+        # Subscribing after construction must still switch the run from
+        # tallying packet/retry events to recording them.
+        link = make_data_link(epsilon=2.0 ** -16, seed=1)
+        sim = Simulator(
+            link, ReliableAdversary(), SequentialWorkload(5), seed=1,
+            retain="none", engine=engine,
+        )
+        seen = []
+        sim.trace.subscribe(
+            lambda index, event: seen.append((index, type(event))),
+            types=(PktSent, PktDelivered, Retry),
+        )
+        result = sim.run()
+        trace = result.trace
+        assert trace.packets_sent() > 0
+        assert sum(cls is PktSent for _, cls in seen) == trace.packets_sent()
+        assert (
+            sum(cls is PktDelivered for _, cls in seen)
+            == trace.packets_delivered()
+        )
+        assert sum(cls is Retry for _, cls in seen) == trace.retries() > 0
+        indexes = [index for index, _ in seen]
+        assert indexes == sorted(set(indexes))
+        assert indexes[-1] < trace.total_events
