@@ -80,10 +80,12 @@ class Channel:
         self.channel_id = channel_id
         self._on_new_pkt = on_new_pkt
         self._store: Dict[int, Packet] = {}
-        # Flat packet tuples parked by the kernel engine at run exit
-        # (see repro.kernel.engine).  Exactly one of _store/_flat_store
-        # holds the channel's contents; materialisation happens on first
-        # object-level access, so campaign runs that never re-read their
+        # Flat packet tuples parked by the kernel engines (see
+        # repro.kernel.engine), which write to the dict in place for the
+        # whole run.  Exactly one of _store/_flat_store holds the
+        # channel's contents; reads build packets from the tuples, and the
+        # whole store is materialised only when the object engine takes
+        # the channel back, so campaign runs that never re-read their
         # packets skip the rebuild entirely.
         self._flat_store: Optional[Dict[int, tuple]] = None
 
@@ -105,6 +107,42 @@ class Channel:
         self._sent_count = 0
         self._delivered_count = 0
         self._bits_sent = 0
+
+    def _flatten(self) -> Dict[int, tuple]:
+        """Park the contents as flat tuples and return the live dict.
+
+        The inverse of :meth:`_materialize`.  ``T->R`` packets flatten to
+        ``(message, rho_value, rho_length, tau_value, tau_length)``,
+        ``R->T`` packets to ``(rho_value, rho_length, tau_value,
+        tau_length, retry)``.  A kernel run adopts the returned dict as
+        the channel's store and writes to it in place.
+        """
+        flat = self._flat_store
+        if flat is None:
+            if self.channel_id is ChannelId.T_TO_R:
+                flat = {
+                    pid: (pkt.message, pkt.rho._value, pkt.rho._length,
+                          pkt.tau._value, pkt.tau._length)
+                    for pid, pkt in self._store.items()
+                }
+            else:
+                flat = {
+                    pid: (pkt.rho._value, pkt.rho._length,
+                          pkt.tau._value, pkt.tau._length, pkt.retry)
+                    for pid, pkt in self._store.items()
+                }
+            self._store.clear()
+            self._flat_store = flat
+        return flat
+
+    def _unflatten(self, item: tuple) -> Packet:
+        """Build the packet object of one parked flat tuple."""
+        trusted = BitString._trusted
+        if self.channel_id is ChannelId.T_TO_R:
+            message, rv, rl, tv, tl = item
+            return make_data_packet(message, trusted(rv, rl), trusted(tv, tl))
+        rv, rl, tv, tl, retry = item
+        return make_poll_packet(trusted(rv, rl), trusted(tv, tl), retry)
 
     def _materialize(self) -> None:
         """Rebuild packet objects from kernel-parked flat tuples.
@@ -186,10 +224,16 @@ class Channel:
         Section 2.5 and exists only for the content-aware extension
         adversaries (:mod:`repro.extensions.content_aware`), which study
         what happens when that assumption is dropped.  Core-model
-        adversaries must never call it.
+        adversaries must never call it.  On a kernel-parked store it
+        builds the one packet asked for and leaves the store parked (a
+        kernel run may be writing to it).
         """
-        if self._flat_store is not None:
-            self._materialize()
+        flat = self._flat_store
+        if flat is not None:
+            item = flat.get(packet_id)
+            if item is None:
+                raise UnknownPacketError(packet_id)
+            return self._unflatten(item)
         try:
             return self._store[packet_id]
         except KeyError:
@@ -203,12 +247,7 @@ class Channel:
 
     def packet_length_bits(self, packet_id: int) -> int:
         """The length the adversary may observe for a given id."""
-        if self._flat_store is not None:
-            self._materialize()
-        try:
-            return self._store[packet_id].wire_length_bits
-        except KeyError:
-            raise UnknownPacketError(packet_id) from None
+        return self.peek(packet_id).wire_length_bits
 
     @property
     def sent_count(self) -> int:

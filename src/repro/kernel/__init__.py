@@ -6,7 +6,8 @@ out of the station/channel/adversary objects into plain ints and
 preallocated containers: nonces become ``(value, length)`` int pairs,
 packets become tuples interned under small-int identifiers, and the
 adversary's per-turn dispatch is specialised into one of a few precompiled
-fast paths.  The object graph is re-synchronised at run boundaries, so the
+modes (any other adversary object decides its own moves inside the same
+loop).  The object graph is re-synchronised at run boundaries, so the
 stations, channels and adversaries remain the public API (the veneer
 contract — see PROTOCOL.md §14).
 

@@ -42,7 +42,6 @@ topology-event zoo.
 from collections import deque
 
 from repro.channel.channel import _make_packet_info
-from repro.core.bitstrings import BitString
 from repro.core.events import (
     ChannelId,
     CrashR,
@@ -52,7 +51,12 @@ from repro.core.events import (
     SendMsg,
 )
 from repro.core.exceptions import AxiomViolationError, UnknownPacketError
-from repro.kernel.engine import _extract_receiver, _extract_transmitter
+from repro.kernel.engine import (
+    _extract_receiver,
+    _extract_transmitter,
+    _sync_receiver,
+    _sync_transmitter,
+)
 
 __all__ = ["HopKernel"]
 
@@ -105,34 +109,16 @@ class HopKernel:
             17 + ((self.r_rho_l + 7) >> 3) + ((self.r_tau_l + 7) >> 3)
         ) << 3
 
-        # Channels: adopt a parked flat store or flatten the object store
-        # (both are empty at fabric construction; mirrored for safety).
+        # Channels: the flat stores stay parked on the channel objects for
+        # the kernel's lifetime (both are empty at fabric construction).
         t_to_r = sim._t_to_r
         r_to_t = sim._r_to_t
-        if t_to_r._flat_store is not None:
-            self.tr_store = t_to_r._flat_store
-            t_to_r._flat_store = None
-        else:
-            self.tr_store = {
-                pid: (pkt.message, pkt.rho._value, pkt.rho._length,
-                      pkt.tau._value, pkt.tau._length)
-                for pid, pkt in t_to_r._store.items()
-            }
-            t_to_r._store.clear()
+        self.tr_store = t_to_r._flatten()
         self.tr_next = t_to_r._next_id
         self.tr_sent = t_to_r._sent_count
         self.tr_deliv = t_to_r._delivered_count
         self.tr_bits = t_to_r._bits_sent
-        if r_to_t._flat_store is not None:
-            self.rt_store = r_to_t._flat_store
-            r_to_t._flat_store = None
-        else:
-            self.rt_store = {
-                pid: (pkt.rho._value, pkt.rho._length,
-                      pkt.tau._value, pkt.tau._length, pkt.retry)
-                for pid, pkt in r_to_t._store.items()
-            }
-            r_to_t._store.clear()
+        self.rt_store = r_to_t._flatten()
         self.rt_next = r_to_t._next_id
         self.rt_sent = r_to_t._sent_count
         self.rt_deliv = r_to_t._delivered_count
@@ -640,70 +626,40 @@ class HopKernel:
     def finalize(self) -> None:
         """Write the flat state back to the object graph (veneer contract).
 
-        Mirrors the sync half of :func:`repro.kernel.engine._run_fast`;
-        idempotent so a defensive second call is harmless.
+        Shares the station sync with :func:`repro.kernel.engine.run_kernel`
+        (``_sync_transmitter``/``_sync_receiver``); idempotent so a
+        defensive second call is harmless.
         """
         sim = self._sim
         transmitter = sim._transmitter
         receiver = sim._receiver
 
-        transmitter._busy = self.t_busy
-        transmitter._message = self.t_msg
-        transmitter._tau = BitString._trusted(self.t_tau_v, self.t_tau_l)
-        transmitter._prev_tau = (
-            None if self.t_ptau_l < 0
-            else BitString._trusted(self.t_ptau_v, self.t_ptau_l)
-        )
-        transmitter._t = self.t_gen
-        transmitter._num = self.t_num
-        transmitter._i_seen = self.t_iseen
-        transmitter._rho_next = (
-            None if self.t_rnl < 0
-            else BitString._trusted(self.t_rnv, self.t_rnl)
-        )
-        st = transmitter.stats
-        st.packets_sent = self.ts_sent
-        st.oks = self.ts_oks
-        st.crashes = self.ts_crashes
-        st.errors_counted = self.ts_err
-        st.extensions = self.ts_ext
-        st.polls_ignored = self.ts_ign
-        st.max_tau_bits = self.ts_maxtau
+        _sync_transmitter(transmitter, (
+            self.t_busy, self.t_msg, self.t_tau_v, self.t_tau_l,
+            self.t_ptau_v, self.t_ptau_l, self.t_gen, self.t_num,
+            self.t_iseen, self.t_rnv, self.t_rnl,
+            self.ts_sent, self.ts_oks, self.ts_crashes, self.ts_err,
+            self.ts_ext, self.ts_ign, self.ts_maxtau,
+        ))
         transmitter._rng._bits_drawn += self.t_bits
         self.t_bits = 0
-
-        receiver._k = self.r_kk
-        receiver._t = self.r_gen
-        receiver._num = self.r_num
-        receiver._i = self.r_i
-        receiver._tau = BitString._trusted(self.r_tau_v, self.r_tau_l)
-        receiver._rho = BitString._trusted(self.r_rho_v, self.r_rho_l)
-        receiver._prev_rho = (
-            None if self.r_prl < 0
-            else BitString._trusted(self.r_prv, self.r_prl)
-        )
-        st = receiver.stats
-        st.packets_sent = self.rs_sent
-        st.deliveries = self.rs_deliv
-        st.crashes = self.rs_crashes
-        st.errors_counted = self.rs_err
-        st.extensions = self.rs_ext
-        st.stale_ignored = self.rs_stale
-        st.tau_updates = self.rs_tauupd
-        st.max_rho_bits = self.rs_maxrho
+        _sync_receiver(receiver, (
+            self.r_kk, self.r_gen, self.r_num, self.r_i,
+            self.r_tau_v, self.r_tau_l, self.r_rho_v, self.r_rho_l,
+            self.r_prv, self.r_prl,
+            self.rs_sent, self.rs_deliv, self.rs_crashes, self.rs_err,
+            self.rs_ext, self.rs_stale, self.rs_tauupd, self.rs_maxrho,
+        ))
         receiver._rng._bits_drawn += self.r_bits
         self.r_bits = 0
 
+        # The flat stores are still parked (see __init__).
         t_to_r = sim._t_to_r
         r_to_t = sim._r_to_t
-        t_to_r._flat_store = self.tr_store
-        t_to_r._store.clear()
         t_to_r._next_id = self.tr_next
         t_to_r._sent_count = self.tr_sent
         t_to_r._delivered_count = self.tr_deliv
         t_to_r._bits_sent = self.tr_bits
-        r_to_t._flat_store = self.rt_store
-        r_to_t._store.clear()
         r_to_t._next_id = self.rt_next
         r_to_t._sent_count = self.rt_sent
         r_to_t._delivered_count = self.rt_deliv

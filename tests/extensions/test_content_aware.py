@@ -12,15 +12,24 @@ from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 
 
-def run_attack(link, seed, harvest=70, budget=200, messages=200):
+def launch(link, seed, engine, harvest=70, budget=200, messages=200):
+    """Run the attack on one engine; returns (attacker, simulator, result)."""
     attacker = ContentAwareReplayAttacker(
         harvest_messages=harvest, strike_budget=budget
     )
     sim = Simulator(
-        link, attacker, SequentialWorkload(messages), seed=seed, max_steps=30_000
+        link, attacker, SequentialWorkload(messages), seed=seed,
+        max_steps=30_000, engine=engine,
     )
     attacker.attach_channels(sim.channels)
-    result = sim.run()
+    return attacker, sim, sim.run()
+
+
+def run_attack(link, seed, harvest=70, budget=200, messages=200,
+               engine="object"):
+    attacker, _sim, result = launch(
+        link, seed, engine, harvest=harvest, budget=budget, messages=messages
+    )
     return attacker, check_all_safety(result.trace)
 
 
@@ -67,6 +76,51 @@ class TestRealProtocolResistsEvenContentAwareness:
         result = sim.run()
         assert result.all_messages_ok
         assert attacker.archive_size == 0
+
+
+LINKS = {
+    "ghm": lambda seed: make_data_link(epsilon=2.0 ** -12, seed=seed),
+    "naive6": lambda seed: make_naive_handshake_link(nonce_bits=6, seed=seed),
+}
+
+
+class TestKernelEngine:
+    """The attacker peeks at the channels from ``on_new_pkt`` and
+    ``_decide``; the kernel keeps its stores readable for the whole run."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("link", list(LINKS))
+    def test_engines_agree(self, link, seed):
+        runs = []
+        for engine in ("object", "kernel"):
+            attacker, sim, result = launch(LINKS[link](seed), seed, engine)
+            channels = (sim.channels.t_to_r, sim.channels.r_to_t)
+            runs.append((
+                list(result.trace.events),
+                result.steps,
+                attacker.surgical_hits,
+                attacker.archive_size,
+                [
+                    (ids, [c.peek(pid) for pid in ids], c.sent_count,
+                     c.delivered_count, c.bits_sent)
+                    for c, ids in ((c, c.all_packet_ids()) for c in channels)
+                ],
+            ))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kernel_breaks_small_fixed_nonce(self, seed):
+        link = make_naive_handshake_link(nonce_bits=6, seed=seed)
+        attacker, report = run_attack(link, seed, engine="kernel")
+        assert not (report.no_replay.passed and report.no_duplication.passed)
+        assert attacker.surgical_hits >= 1
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_kernel_real_protocol_resists(self, seed):
+        link = make_data_link(epsilon=2.0 ** -12, seed=seed)
+        attacker, report = run_attack(link, seed, engine="kernel")
+        assert report.passed
+        assert attacker.surgical_hits == 0
 
 
 class TestValidation:

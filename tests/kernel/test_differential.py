@@ -12,10 +12,22 @@ corruption with the stabilization monitor attached — plus both fairness
 settings and truncated (max_steps-bounded) runs.
 """
 
+from collections import deque
+
 import pytest
 
+from repro.adversary.base import (
+    PASS,
+    Adversary,
+    Corrupt,
+    Move,
+    TriggerRetry,
+    make_deliver,
+)
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
+from repro.adversary.composite import MixtureAdversary, PhasedAdversary
 from repro.adversary.corruption import StateCorruptionAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.adversary.fairness import StallingAdversary
 from repro.adversary.random_faults import (
     DuplicateFloodAdversary,
@@ -23,7 +35,21 @@ from repro.adversary.random_faults import (
     RandomFaultAdversary,
     ReorderAdversary,
 )
+from repro.adversary.replay import ReplayAttacker
+from repro.baselines import (
+    make_abp_link,
+    make_naive_handshake_link,
+    make_nonvolatile_bit_link,
+    make_stop_and_wait_link,
+)
 from repro.checkers.streaming import StreamingChecks
+from repro.core.events import ChannelId
+from repro.core.exceptions import (
+    ConfigurationError,
+    SimulationError,
+    UnknownPacketError,
+)
+from repro.core.protocol import make_data_link
 from repro.core.random_source import split_seed
 from repro.resilience.faultplan import (
     CorruptAt,
@@ -36,8 +62,10 @@ from repro.resilience.faultplan import (
 )
 from repro.sim.runner import RunOutcome, RunSpec, run_once
 from repro.sim.simulator import Simulator
+from repro.sim.workload import SequentialWorkload
 
 SEEDS = [0, 1, 7, 42, 1234]
+ENGINES = ("object", "kernel")
 
 
 def build_spec(adversary_factory, engine, **overrides):
@@ -194,7 +222,63 @@ class TestRandomFaults:
         assert_equivalent(factory, seed, enforce_fairness=False)
 
 
+class _Nudge(TriggerRetry):
+    """A Move subclass: both engines must resolve it as TriggerRetry."""
+
+
+class _OwnNextMove(Adversary):
+    """FIFO adversary that overrides ``next_move`` itself, so the engines
+    must call it instead of ``_decide`` (``Simulator._adversary_decide``
+    is None); every fifth move schedules a RETRY through a Move subclass."""
+
+    def __init__(self):
+        super().__init__()
+        self._pending = deque()
+
+    def on_new_pkt(self, info):
+        self._pending.append(info)
+
+    def next_move(self):
+        self._moves_made += 1
+        if self._moves_made % 5 == 0:
+            return _Nudge()
+        return self._decide()
+
+    def _decide(self):
+        if self._pending:
+            info = self._pending.popleft()
+            return make_deliver(info.channel, info.packet_id)
+        return PASS
+
+
+#: Generic adversaries beyond the ones pinned case by case below.
+GENERIC_ZOO = {
+    # The Section 3 crash-then-replay attack; it schedules TriggerRetry.
+    "replay": lambda: ReplayAttacker(
+        harvest_messages=8, replay_rounds=2, polls_between_replays=1
+    ),
+    "crash-storm": lambda: CrashStormAdversary(crash_rate=0.02, max_crashes=6),
+    "phased": lambda: PhasedAdversary([
+        (DelayedFifoAdversary(delay_turns=2), 60),
+        (RandomFaultAdversary(FaultProfile(loss=0.1, duplicate=0.1)), 0),
+    ]),
+    "mixture": lambda: MixtureAdversary([
+        (ReliableAdversary(), 3.0),
+        (ReorderAdversary(window=4), 1.0),
+    ]),
+    "own-next-move": _OwnNextMove,
+}
+
+
 class TestGenericAdversaries:
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    @pytest.mark.parametrize("fair", [True, False], ids=["fair", "bare"])
+    @pytest.mark.parametrize("name", list(GENERIC_ZOO))
+    def test_generic_zoo(self, name, fair, seed):
+        assert_equivalent(
+            GENERIC_ZOO[name], seed, enforce_fairness=fair, max_steps=20_000
+        )
+
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_stalling_under_enforcer(self, seed):
         assert_equivalent(StallingAdversary, seed, messages=8)
@@ -464,7 +548,145 @@ class TestVeneerSync:
             )
         assert sim_channels["object"] == sim_channels["kernel"]
 
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    @pytest.mark.parametrize("name", ["reliable", "lossy", "delayed-fifo",
+                                      "replay"])
+    def test_channel_contents_synced(self, name, seed):
+        # Packet ids, every stored packet and the counters, read through
+        # the Channel API after the run (kernel stores stay parked flat).
+        factory = {
+            "reliable": ReliableAdversary,
+            "lossy": lambda: RandomFaultAdversary(
+                FaultProfile(loss=0.2, duplicate=0.1, reorder=0.1)
+            ),
+            "delayed-fifo": lambda: DelayedFifoAdversary(delay_turns=3),
+            "replay": GENERIC_ZOO["replay"],
+        }[name]
+        contents = [
+            channel_contents(run_simulator(build_spec(factory, engine), seed))
+            for engine in ENGINES
+        ]
+        assert contents[0] == contents[1]
+
     def test_kernel_engine_rejected_values(self):
         with pytest.raises(ValueError):
             run_once(build_spec(ReliableAdversary, "vectorized"), 0)
         run_once(build_spec(ReliableAdversary, "kernel"), 0)
+
+
+def run_simulator(spec, seed):
+    """Run the spec's simulator as ``run_once`` would build it; return it."""
+    simulator = Simulator(
+        link=spec.link_factory(split_seed(seed, "link")),
+        adversary=spec.adversary_factory(),
+        workload=spec.workload_factory(split_seed(seed, "workload")),
+        seed=split_seed(seed, "adversary"),
+        max_steps=spec.max_steps,
+        enforce_fairness=spec.enforce_fairness,
+        retain=spec.retain,
+        engine=spec.engine,
+    )
+    simulator.run()
+    return simulator
+
+
+def channel_contents(simulator):
+    contents = []
+    for channel in (simulator.channels.t_to_r, simulator.channels.r_to_t):
+        ids = channel.all_packet_ids()
+        contents.append((
+            ids,
+            [channel.peek(pid) for pid in ids],
+            [channel.packet_length_bits(pid) for pid in ids],
+            channel.sent_count,
+            channel.delivered_count,
+            channel.bits_sent,
+        ))
+    return contents
+
+
+class _Fixed(Adversary):
+    """Makes the same move every turn."""
+
+    def __init__(self, move):
+        super().__init__()
+        self._move = move
+
+    def _decide(self):
+        return self._move
+
+
+class TestMoveErrors:
+    """Moves the object engine rejects fail the same way on the kernel."""
+
+    @pytest.mark.parametrize("move, error", [
+        (make_deliver(ChannelId.T_TO_R, -1), UnknownPacketError),
+        (make_deliver(ChannelId.R_TO_T, -3), UnknownPacketError),
+        (make_deliver(ChannelId.R_TO_T, 10 ** 6), UnknownPacketError),
+        (make_deliver(ChannelId.T_TO_R, None), UnknownPacketError),
+        (Move(), SimulationError),
+        (Corrupt(station="X"), SimulationError),
+        (Corrupt(station="X", wipe=True), SimulationError),
+    ], ids=["neg-t2r", "neg-r2t", "unissued", "none", "bare-move",
+            "corrupt-station", "wipe-station"])
+    def test_same_error(self, move, error):
+        raised = []
+        for engine in ENGINES:
+            simulator = Simulator(
+                make_data_link(epsilon=2.0 ** -8, seed=3),
+                _Fixed(move),
+                SequentialWorkload(3),
+                seed=3,
+                enforce_fairness=False,
+                engine=engine,
+            )
+            with pytest.raises(error) as info:
+                simulator.run()
+            raised.append((str(info.value), simulator.steps_taken))
+        assert raised[0] == raised[1]
+
+
+class TestStationGuard:
+    """The kernel mirrors only the GHM stations, and says so up front."""
+
+    @pytest.mark.parametrize("make_link", [
+        make_abp_link, make_stop_and_wait_link, make_nonvolatile_bit_link,
+    ], ids=["abp", "stop-and-wait", "nonvolatile-bit"])
+    def test_baseline_stations_rejected(self, make_link):
+        link = make_link()
+        simulator = Simulator(
+            link, ReliableAdversary(), SequentialWorkload(5), seed=0,
+            engine="kernel",
+        )
+        with pytest.raises(ConfigurationError) as info:
+            simulator.run()
+        assert type(link.transmitter).__name__ in str(info.value)
+        assert type(link.receiver).__name__ in str(info.value)
+        assert simulator.steps_taken == 0
+
+    def test_station_subclass_rejected(self):
+        # The kernel never calls station methods, so a subclass would run
+        # the stock transitions silently; it must be refused instead.
+        link = make_data_link(epsilon=2.0 ** -8, seed=0)
+        base = type(link.receiver)
+        link.receiver.__class__ = type("PatchedReceiver", (base,), {})
+        simulator = Simulator(
+            link, ReliableAdversary(), SequentialWorkload(5), seed=0,
+            engine="kernel",
+        )
+        with pytest.raises(ConfigurationError, match="PatchedReceiver"):
+            simulator.run()
+
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_naive_handshake_runs_identically(self, seed):
+        # GHM stations under FixedPolicy: same classes, other parameters.
+        snapshots = []
+        for engine in ENGINES:
+            spec = build_spec(
+                lambda: RandomFaultAdversary(FaultProfile(loss=0.1)), engine
+            )
+            spec.link_factory = lambda s: make_naive_handshake_link(
+                nonce_bits=8, seed=s
+            )
+            snapshots.append(snapshot(run_once(spec, seed)))
+        assert snapshots[0] == snapshots[1]
