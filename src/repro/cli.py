@@ -249,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "probation window")
     live.add_argument("--restart-delay", type=float, default=0.02,
                       help="how long a crashed station stays down")
-    live.add_argument("--wire", choices=("batched", "classic"),
-                      default="batched",
-                      help="datagram layer: batched drain/flush "
-                           "(recvmmsg/sendmmsg where available) or the "
-                           "classic per-datagram asyncio transports; "
-                           "verdicts are identical either way")
     live.add_argument("--loop", choices=("asyncio", "uvloop", "auto"),
                       default="asyncio",
                       help="event loop backend; uvloop falls back to "
@@ -701,7 +695,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
             restart_delay=args.restart_delay,
             lanes=args.lanes,
             stabilization_window=args.corrupt_window,
-            wire=args.wire,
             label=args.label,
         )
     except ValueError as error:
@@ -813,19 +806,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
             ],
             title="live benchmark (loopback UDP, lossless profile)",
-        ))
-        print()
-    if "live_wire" in results:
-        live_wire = results["live_wire"]
-        print(render_table(
-            ["wire", "messages/sec", "wall seconds"],
-            [
-                [wire + (" (mmsg)" if stats.get("mmsg") else ""),
-                 f"{stats['messages_per_second']:,.0f}",
-                 f"{stats['wall_seconds']:.3f}"]
-                for wire, stats in live_wire.items()
-            ],
-            title="live wire benchmark (isolated loopback pump, 8 lanes)",
         ))
         print()
     if "kernel" in results:

@@ -59,9 +59,9 @@ __all__ = [
     "make_poll_packet",
 ]
 
-#: Anything the codec can read without copying: the classic wire hands the
-#: endpoints ``bytes``, the batched wire hands them ``memoryview`` slices
-#: of pooled receive buffers.
+#: Anything the codec can read without copying: encoders produce ``bytes``,
+#: the live wire hands the endpoints ``memoryview`` slices of pooled
+#: receive buffers.
 ReadableBuffer = Union[bytes, bytearray, memoryview]
 
 # Packets are allocated once per send_pkt; slot them where the runtime allows.
@@ -279,8 +279,8 @@ class WireInfo(NamedTuple):
     *lengths* — never contents.  The chaos proxy's fault decisions go
     through this view exclusively: ``kind_byte`` is the on-wire identifier
     octet, ``kind`` its symbolic name, ``length_bits`` the full datagram
-    length.  ``lane`` is the lane id of a multi-lane frame (``None`` for
-    the classic unlaned wire) — structural framing, like the identifier,
+    length.  ``lane`` is the lane id of a lane-framed datagram (``None``
+    for a bare packet encoding) — structural framing, like the identifier,
     not content.  Nothing here requires (or performs) a content decode.
 
     A named tuple rather than a dataclass: the proxy constructs one per

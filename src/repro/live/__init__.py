@@ -9,25 +9,33 @@ amnesia crashes against a real clock.  Every externally visible action is
 mirrored into the PR-2 streaming checkers, so live traces receive the same
 Section 2.6 verdicts as simulated ones.
 
+There is one wire and one endpoint shape: every socket is a batched
+drain/flush socket, and every station holds K lanes (``lanes=1`` is a
+group of one), so each datagram carries a lane byte and each message a
+stripe header that lets the receiver deliver it exactly once.
+
 Layout:
 
 * :mod:`repro.live.backoff` — jittered exponential poll backoff (the live
   pacing of the RM's RETRY obligation);
+* :mod:`repro.live.wire` — :class:`~repro.live.wire.BatchedDatagramIO`,
+  zero-copy drain/flush datagram I/O (recvmmsg/sendmmsg where libc has
+  them, a ``recv_into``/``sendto`` fallback elsewhere);
 * :mod:`repro.live.proxy` — :class:`ChaosProxy`, compiling the campaign
   fault-plan schema plus a stochastic :class:`LinkProfile` into wire
   faults while honouring Section 2.3 adversary visibility (identifiers
   and lengths only);
-* :mod:`repro.live.endpoints` — the TM/RM automata behind sockets, with
-  crash-amnesia restarts;
-* :mod:`repro.live.lanes` — K independent protocol instances striped over
-  one socket pair (lane-framed wire, shared resequencer) for pipelined
-  throughput past Axiom 1's one-message window;
+* :mod:`repro.live.endpoints` — the station socket base: lane-byte
+  dispatch, codec-error accounting and the audited timers it shares with
+  the proxy;
+* :mod:`repro.live.lanes` — the TM/RM endpoints: K independent protocol
+  instances striped over one socket pair (shared resequencer), with
+  per-lane crash-amnesia restarts;
 * :mod:`repro.live.scenario` — scripted end-to-end runs with a hard
   wall-clock budget and a bounded give-up (UNRECONCILABLE, never a hang).
 """
 
 from repro.live.backoff import AdaptiveBackoff, BackoffPolicy
-from repro.live.endpoints import ReceiverEndpoint, TransmitterEndpoint
 from repro.live.lanes import (
     LaneMetrics,
     LanedReceiverEndpoint,
@@ -54,8 +62,6 @@ __all__ = [
     "LiveScenario",
     "LiveStatus",
     "ProxyStats",
-    "ReceiverEndpoint",
-    "TransmitterEndpoint",
     "run_live_scenario",
     "run_live_scenario_async",
 ]

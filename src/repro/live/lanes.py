@@ -1,10 +1,11 @@
-"""Multi-lane live link: K protocol instances striped over one socket pair.
+"""The live endpoints: K protocol instances striped over one socket pair.
 
-Axiom 1 makes each data link stop-and-wait at the message level, so the
-single-lane live deployment (:mod:`repro.live.endpoints`) delivers one
-message per ~2-RTT handshake however fast the wire is.  The remedy proved
-in simulation by :mod:`repro.extensions.striping` — run K *independent*
-link instances and resequence — is deployed here on a real wire:
+Axiom 1 makes each data link stop-and-wait at the message level, so one
+protocol instance on a live link delivers one message per ~2-RTT
+handshake however fast the wire is.  The remedy proved in simulation by
+:mod:`repro.extensions.striping` — run K *independent* link instances and
+resequence — is deployed here on a real wire, and ``lanes=1`` is simply a
+group of one:
 
 * :class:`LanedTransmitterEndpoint` / :class:`LanedReceiverEndpoint` hold
   K independent :class:`~repro.core.transmitter.Transmitter` /
@@ -18,7 +19,9 @@ link instances and resequence — is deployed here on a real wire:
   receiver's shared :class:`~repro.extensions.striping.Resequencer`
   restores global order.  The ``attempt`` field makes a crash-resubmitted
   slot a *distinct* message value (Axiom 2) without touching the payload
-  the resequencer releases.
+  the resequencer releases, and the sequence number lets the resequencer
+  drop the replay when the first incarnation was delivered too — so the
+  application sees every payload exactly once, at any lane count.
 * Correctness composes because nothing is weakened per lane: each lane is
   a complete instance of the paper's protocol with its own nonces, its own
   crash-amnesia (a lane crash wipes exactly that automaton and its
@@ -27,13 +30,19 @@ link instances and resequence — is deployed here on a real wire:
   earns Section 2.6 streaming verdicts, and the aggregate is their
   conjunction (:func:`~repro.checkers.report.merge_safety_reports`).
 
+Crash-amnesia: a lane crash wipes the automaton's memory through its own
+``crash()`` transition (the paper's model: memory dies, the entropy source
+does not) *and* the harness-side volatile state (backoff schedule,
+in-flight bookkeeping, pending timers).  The lane stays dead for
+``restart_delay`` seconds (datagrams arriving meanwhile are lost, as they
+would be at a down host), then cold-restarts.
+
 Adversary visibility stays structural: the chaos proxy peeks the lane id
 and identifier octet through :func:`~repro.core.packets.peek_wire_info` —
 faults can *target a lane* but never read contents.
 
 Hot path: each lane's outbound frames reuse the interned one-byte lane
-prefix (no per-send frame buffer allocation beyond the unavoidable
-concat), and RETRY polls go through a per-lane
+prefix, and RETRY polls go through a per-lane
 :class:`~repro.core.packets.PollEncoder`, which caches the lane byte and
 the encoded ``(ρ, τ)`` prefix and re-packs only the retry counter.
 """
@@ -64,6 +73,8 @@ from repro.core.events import (
     make_send_msg,
 )
 from repro.core.exceptions import CodecError
+# decode_packet is called in repro.live.endpoints, not here; e2ebench's
+# traced live run wraps both modules' bindings by name, so it stays bound.
 from repro.core.packets import (
     DataPacket,
     PollEncoder,
@@ -77,7 +88,7 @@ from repro.core.receiver import Receiver
 from repro.core.transmitter import Transmitter
 from repro.extensions.striping import Resequencer
 from repro.live.backoff import AdaptiveBackoff
-from repro.live.endpoints import _SocketBase, Address
+from repro.live.endpoints import Address, _SocketBase
 
 __all__ = [
     "LaneMetrics",
@@ -179,52 +190,7 @@ class _RmLane:
         self.in_ids = 0
 
 
-class _LanedBase(_SocketBase):
-    """Shared datagram dispatch for the laned endpoints."""
-
-    def __init__(self, proxy_addr: Address, lane_count: int,
-                 restart_delay: float, wire: str = "classic",
-                 pool=None) -> None:
-        if lane_count < 1:
-            raise ValueError("need at least one lane")
-        super().__init__(proxy_addr, wire=wire, pool=pool)
-        self.lane_count = lane_count
-        self.restart_delay = restart_delay
-        self.malformed = 0
-        self.foreign_lanes = 0  # lane ids outside [0, K) or unframed traffic
-        self.dropped_while_dead = 0
-
-    # Laned frames are split by hand here (rather than through
-    # decode_lane_frame) so a foreign lane id and a malformed body are
-    # counted separately; body decode still goes through decode_packet,
-    # preserving strict-prefix rejection lane by lane.  ``data`` may be a
-    # memoryview into a reused receive buffer: the lane byte is an index
-    # read and the body slice decodes zero-copy.
-    def _on_datagram(self, data) -> None:
-        if self._closed:
-            return
-        if len(data) < 2 or data[0] >= self.lane_count:
-            self.foreign_lanes += 1
-            return
-        lane = data[0]
-        try:
-            packet = decode_packet(data[1:])
-        except CodecError:
-            self.malformed += 1
-            return
-        if not isinstance(packet, self._expected_packet):
-            self.malformed += 1
-            return
-        self._handle_lane_packet(lane, packet)
-
-    # subclass hooks
-    _expected_packet: type = object
-
-    def _handle_lane_packet(self, lane: int, packet) -> None:
-        raise NotImplementedError
-
-
-class LanedTransmitterEndpoint(_LanedBase):
+class LanedTransmitterEndpoint(_SocketBase):
     """K transmitter lanes draining a striped workload over one socket.
 
     The global payload stream is striped round-robin at construction;
@@ -245,11 +211,9 @@ class LanedTransmitterEndpoint(_LanedBase):
         on_ok: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool=None,
     ) -> None:
-        super().__init__(proxy_addr, len(links), restart_delay,
-                         wire=wire, pool=pool)
+        super().__init__(proxy_addr, len(links), restart_delay, pool=pool)
         if len(logs) != len(links):
             raise ValueError("need one event log per lane")
         self._lanes = [
@@ -417,15 +381,15 @@ class LanedTransmitterEndpoint(_LanedBase):
         self._maybe_send_next(lane)
 
 
-class LanedReceiverEndpoint(_LanedBase):
+class LanedReceiverEndpoint(_SocketBase):
     """K receiver lanes feeding one shared resequencer over one socket.
 
     Each lane runs its own poll chain on its own backoff schedule (jitter
     decorrelates the lanes, so polls spread over the RTT instead of
     bursting).  Deliveries carry the stripe header; the shared
     :class:`Resequencer` releases the longest in-order payload run, and
-    ``on_delivery`` fires once per *released* payload — i.e. in global
-    stream order, the laned analogue of the single-lane delivery callback.
+    ``on_delivery`` fires once per *released* payload — i.e. once per
+    payload, in global stream order.
     """
 
     outbound = ChannelId.R_TO_T
@@ -440,11 +404,9 @@ class LanedReceiverEndpoint(_LanedBase):
         on_progress: Optional[Callable[[], None]] = None,
         on_delivery: Optional[Callable[[bytes], None]] = None,
         restart_delay: float = 0.02,
-        wire: str = "classic",
         pool=None,
     ) -> None:
-        super().__init__(proxy_addr, len(links), restart_delay,
-                         wire=wire, pool=pool)
+        super().__init__(proxy_addr, len(links), restart_delay, pool=pool)
         if len(logs) != len(links) or len(backoffs) != len(links):
             raise ValueError("need one event log and one backoff per lane")
         self._lanes = [

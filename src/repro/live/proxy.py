@@ -18,8 +18,8 @@ behaviour:
     the window closes (reordering them behind later traffic);
   - ``crash`` → the proxy does not touch the datagram but tells the crash
     orchestrator to kill the named station (see :mod:`repro.live.scenario`);
-    on a multi-lane wire the observed datagram's lane id rides along, so a
-    scenario can crash just the lane the trigger datagram belonged to;
+    the observed datagram's lane id rides along, so a scenario can crash
+    just the lane the trigger datagram belonged to;
   - ``corrupt`` → the proxy tells the scenario to scramble the named
     station's volatile state *in place* (seed-pinned, no dead window);
     ``mode: "wipe"`` rides the crash trigger instead — the live half of
@@ -48,6 +48,7 @@ from repro.core.events import ChannelId
 from repro.core.exceptions import CodecError
 from repro.core.packets import peek_wire_info
 from repro.core.random_source import RandomSource
+from repro.live.endpoints import AuditedTimers
 from repro.live.wire import BatchedDatagramIO, BufferPool, link_flush_group
 from repro.resilience.faultplan import (
     AbortAt,
@@ -108,32 +109,19 @@ class ProxyStats:
     stalled: int = 0
     foreign: int = 0  # datagrams rejected by the identifier/length peek
     by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Datagrams observed per lane id on a multi-lane wire (structural
-    #: framing info, still no content decode); empty on a classic wire.
+    #: Datagrams observed per lane id (structural framing info, still no
+    #: content decode).
     by_lane: Dict[int, int] = field(default_factory=dict)
 
 
-class _ProxySide(asyncio.DatagramProtocol):
-    """One of the proxy's two sockets; tags arrivals with their channel."""
-
-    def __init__(self, proxy: "ChaosProxy", channel: ChannelId) -> None:
-        self._proxy = proxy
-        self._channel = channel
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._proxy._on_datagram(self._channel, bytes(data))
-
-
-class ChaosProxy:
+class ChaosProxy(AuditedTimers):
     """In-path UDP relay applying scripted and stochastic wire faults.
 
     Lifecycle: ``await start()`` binds both sockets (ephemeral loopback
     ports), ``connect()`` tells the proxy where the stations live, and
-    ``close()`` tears the relay down (pending delayed sends are dropped).
+    ``close()`` tears the relay down.  Delayed forwards and hang releases
+    run on audited timers, so ``close()`` cancels them and leaves nothing
+    scheduled on the caller's loop.
     """
 
     def __init__(
@@ -144,28 +132,23 @@ class ChaosProxy:
         on_crash: Optional[Callable[[str, int, Optional[int]], None]] = None,
         on_abort: Optional[Callable[[int], None]] = None,
         on_corrupt: Optional[Callable[[CorruptAt, int, Optional[int]], None]] = None,
-        wire: str = "classic",
         pool: Optional[BufferPool] = None,
     ) -> None:
-        if wire not in ("classic", "batched"):
-            raise ValueError(f"unknown wire mode {wire!r}")
+        super().__init__()
         self.plan = plan if plan is not None else FaultPlan()
         self.profile = profile if profile is not None else LinkProfile()
         self._rng = rng if rng is not None else RandomSource(0)
         self._on_crash = on_crash
         self._on_abort = on_abort
         self._on_corrupt = on_corrupt
-        self.wire = wire
         self._pool = pool
         self.stats = ProxyStats()
         self._turn = 0
         self._closed = False
         self._tm_addr: Optional[Address] = None
         self._rm_addr: Optional[Address] = None
-        self._t_side = _ProxySide(self, ChannelId.T_TO_R)  # faces the TM
-        self._r_side = _ProxySide(self, ChannelId.R_TO_T)  # faces the RM
-        self._t_io: Optional[BatchedDatagramIO] = None
-        self._r_io: Optional[BatchedDatagramIO] = None
+        self._t_io: Optional[BatchedDatagramIO] = None  # faces the TM
+        self._r_io: Optional[BatchedDatagramIO] = None  # faces the RM
         self._last_forwarded: Optional[Tuple[ChannelId, bytes]] = None
         self._paused_until: Optional[float] = None  # None=open; inf=forever
         self._held: List[Tuple[ChannelId, bytes]] = []  # stalled/hung traffic
@@ -202,32 +185,23 @@ class ChaosProxy:
     # -- lifecycle ---------------------------------------------------------------
 
     async def start(self) -> None:
-        if self.wire == "batched":
-            # Each side drains in chunks but dispatches datagrams to
-            # _on_datagram ONE AT A TIME, so the scripted-event turn clock
-            # ticks exactly as it does on the classic wire.  The two sides
-            # share one flush group: a datagram drained on the T-facing
-            # socket is forwarded out the R-facing one, and that borrowed
-            # view must leave before the next drain chunk reuses it.
-            self._t_io = BatchedDatagramIO(
-                lambda view: self._on_datagram(ChannelId.T_TO_R, view),
-                pool=self._pool,
-            )
-            self._r_io = BatchedDatagramIO(
-                lambda view: self._on_datagram(ChannelId.R_TO_T, view),
-                pool=self._pool,
-            )
-            await self._t_io.open()
-            await self._r_io.open()
-            link_flush_group([self._t_io, self._r_io])
-            return
-        loop = asyncio.get_running_loop()
-        await loop.create_datagram_endpoint(
-            lambda: self._t_side, local_addr=("127.0.0.1", 0)
+        # Each side drains in chunks but dispatches datagrams to
+        # _on_datagram ONE AT A TIME, so the scripted-event turn clock
+        # counts datagrams however the wire batches them.  The two sides
+        # share one flush group: a datagram drained on the T-facing socket
+        # is forwarded out the R-facing one, and that borrowed view must
+        # leave before the next drain chunk reuses it.
+        self._t_io = BatchedDatagramIO(
+            lambda view: self._on_datagram(ChannelId.T_TO_R, view),
+            pool=self._pool,
         )
-        await loop.create_datagram_endpoint(
-            lambda: self._r_side, local_addr=("127.0.0.1", 0)
+        self._r_io = BatchedDatagramIO(
+            lambda view: self._on_datagram(ChannelId.R_TO_T, view),
+            pool=self._pool,
         )
+        await self._t_io.open()
+        await self._r_io.open()
+        link_flush_group([self._t_io, self._r_io])
 
     def connect(self, tm_addr: Address, rm_addr: Address) -> None:
         """Tell the proxy where to forward each direction's traffic."""
@@ -237,21 +211,17 @@ class ChaosProxy:
     @property
     def t_facing_address(self) -> Address:
         """Where the TM should send its datagrams."""
-        if self._t_io is not None:
-            return self._t_io.local_address
-        return self._t_side.transport.get_extra_info("sockname")
+        return self._t_io.local_address
 
     @property
     def r_facing_address(self) -> Address:
         """Where the RM should send its datagrams."""
-        if self._r_io is not None:
-            return self._r_io.local_address
-        return self._r_side.transport.get_extra_info("sockname")
+        return self._r_io.local_address
 
     @property
     def wire_ios(self) -> "List[BatchedDatagramIO]":
-        """The batched sockets behind the relay ([] on a classic wire)."""
-        return [io for io in (self._t_io, self._r_io) if io is not None]
+        """The batched sockets behind the relay (once started)."""
+        return [self._t_io, self._r_io]
 
     @property
     def turns(self) -> int:
@@ -260,18 +230,16 @@ class ChaosProxy:
 
     def close(self) -> None:
         self._closed = True
+        self._cancel_timers()
         for io in (self._t_io, self._r_io):
             if io is not None:
                 io.close()
-        for side in (self._t_side, self._r_side):
-            if side.transport is not None:
-                side.transport.close()
 
     # -- the wire ----------------------------------------------------------------
 
     def _on_datagram(self, channel: ChannelId, data) -> None:
-        # ``data`` is bytes on the classic wire, a memoryview into a reused
-        # receive buffer on the batched one.  The hot path (peek → forward)
+        # ``data`` is a memoryview into a reused receive buffer (or bytes,
+        # when a test calls in directly).  The hot path (peek → forward)
         # stays zero-copy; anything that must survive past this call —
         # stalled/hung holds, delayed forwards, the duplicate-burst replay
         # buffer — is copied at the point it escapes.
@@ -349,12 +317,12 @@ class ChaosProxy:
         if turn in self._hangs:
             seconds = self._hangs.pop(turn)  # type: ignore[assignment]
         if seconds != -1.0:
-            loop = asyncio.get_running_loop()
             if seconds is None:
                 self._paused_until = float("inf")
             else:
-                self._paused_until = loop.time() + seconds
-                loop.call_later(seconds, self._release_pause)
+                now = asyncio.get_running_loop().time()
+                self._paused_until = now + seconds
+                self._call_later(seconds, self._release_pause)
 
     def _release_pause(self) -> None:
         self._paused_until = None
@@ -415,9 +383,7 @@ class ChaosProxy:
                 # The view dies with the drain chunk; a delayed forward
                 # needs its own copy.
                 data = bytes(data)
-            asyncio.get_running_loop().call_later(
-                delay, self._send_now, channel, data
-            )
+            self._call_later(delay, self._send_now, channel, data)
         else:
             self._send_now(channel, data)
 
@@ -425,9 +391,9 @@ class ChaosProxy:
         if self._closed:
             return
         if channel is ChannelId.T_TO_R:
-            dest, io, side = self._rm_addr, self._r_io, self._r_side
+            dest, io = self._rm_addr, self._r_io
         else:
-            dest, io, side = self._tm_addr, self._t_io, self._t_side
+            dest, io = self._tm_addr, self._t_io
         if dest is None:
             return
         self.stats.forwarded += 1
@@ -438,10 +404,7 @@ class ChaosProxy:
             self._last_forwarded = (
                 channel, data if type(data) is bytes else bytes(data)
             )
-        if io is not None:
-            io.send(data, dest)
-        elif side.transport is not None:
-            side.transport.sendto(data, dest)
+        io.send(data, dest)
 
     def describe(self) -> str:
         profile = "clean" if self.profile.is_clean else (

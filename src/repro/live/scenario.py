@@ -20,22 +20,23 @@ Three guarantees make the harness CI-safe:
   the run is torn down with status :data:`LiveStatus.UNRECONCILABLE` — the
   paper's ε-probability bad case surfaced as graceful degradation instead
   of a hang;
-* **deterministic teardown** — tasks are cancelled and sockets closed in
-  ``finally``, so a failing scenario cannot leak file descriptors or tasks
-  into the next test.
+* **deterministic teardown** — tasks and timers are cancelled and sockets
+  closed in ``finally``, so a failing scenario cannot leak file
+  descriptors, tasks or timers into the next test.
 
-Crash orchestration reuses the campaign fault-plan schema: a
+Every run is laned (:mod:`repro.live.lanes`); ``lanes=1`` is a group of
+one.  Crash orchestration reuses the campaign fault-plan schema: a
 ``{"kind": "crash", "step": N, "station": "T"}`` event kills the named
-station when the proxy observes its N-th datagram — necessarily
-mid-handshake when traffic is flowing — and cold-restarts it with empty
-volatile state after ``restart_delay`` seconds.
+station's lane that carried the N-th datagram the proxy observes —
+necessarily mid-handshake when traffic is flowing — and cold-restarts it
+with empty volatile state after ``restart_delay`` seconds.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import List, Optional
 
@@ -46,7 +47,6 @@ from repro.checkers.streaming import StreamingChecks
 from repro.core.protocol import make_data_link
 from repro.core.random_source import RandomSource, split_seed
 from repro.live.backoff import AdaptiveBackoff, BackoffPolicy
-from repro.live.endpoints import ReceiverEndpoint, TransmitterEndpoint
 from repro.live.lanes import (
     LaneMetrics,
     LanedReceiverEndpoint,
@@ -92,10 +92,8 @@ class LiveScenario:
     tail_size: int = 4096  # forensic event tail retained by the log
     lanes: int = 1  # protocol instances striped over the socket pair
     stabilization_window: int = 8  # clean progress events ending probation
-    #: "batched" = zero-copy drain/flush sockets (PROTOCOL.md §15);
-    #: "classic" = the PR-4/PR-5 one-datagram-per-wakeup asyncio transports.
-    #: Verdicts are wire-mode independent; "classic" exists for the bench
-    #: comparison and as a fallback switch.
+    #: The datagram layer.  The batched wire (PROTOCOL.md §15) is the only
+    #: one; the field stays so that callers naming it keep working.
     wire: str = "batched"
     label: str = ""
 
@@ -110,7 +108,7 @@ class LiveScenario:
             raise ValueError("lanes must be >= 1")
         if self.stabilization_window < 1:
             raise ValueError("stabilization_window must be >= 1")
-        if self.wire not in ("batched", "classic"):
+        if self.wire != "batched":
             raise ValueError(f"unknown wire mode {self.wire!r}")
 
     @property
@@ -148,9 +146,8 @@ class LiveRunReport:
     corruptions_t: int = 0  # in-place state scrambles applied to the TM
     corruptions_r: int = 0  # in-place state scrambles applied to the RM
     stabilization: Optional[StabilizationReport] = None
-    wire: str = "classic"  # which wire layer carried the run
     loop_backend: str = "asyncio"  # event loop implementation used
-    wire_stats: Optional[WireStats] = None  # batching counters (batched wire)
+    wire_stats: WireStats = field(default_factory=WireStats)  # batch counters
     pool_outstanding: int = 0  # pooled buffers still unreturned at teardown
     pool_allocated: int = 0  # pooled buffers ever created
     pool_high_water: int = 0  # worst simultaneous pooled-buffer demand
@@ -181,26 +178,24 @@ class LiveRunReport:
                 ["crashes (T/R)", f"{self.crashes_t}/{self.crashes_r}"],
                 ["events checked", self.events_seen],
                 ["wall seconds", f"{self.wall_seconds:.2f}"],
-                ["wire", f"{self.wire} ({self.loop_backend})"],
-            ]
-            + (
+                ["event loop", self.loop_backend],
                 [
-                    [
-                        "wire batches (recv/send)",
-                        f"{self.wire_stats.recv_batches}/"
-                        f"{self.wire_stats.send_batches}"
-                        + (" mmsg" if self.wire_stats.mmsg else ""),
-                    ],
-                    [
-                        "buffer pool",
-                        f"{self.pool_allocated} allocated, "
-                        f"{self.pool_outstanding} outstanding, "
-                        f"high-water {self.pool_high_water}",
-                    ],
-                ]
-                if self.wire_stats is not None
-                else []
-            )
+                    "wire batches (recv/send)",
+                    f"{self.wire_stats.recv_batches}/"
+                    f"{self.wire_stats.send_batches}"
+                    + (" mmsg" if self.wire_stats.mmsg else ""),
+                ],
+                [
+                    "buffer pool",
+                    f"{self.pool_allocated} allocated, "
+                    f"{self.pool_outstanding} outstanding, "
+                    f"high-water {self.pool_high_water}",
+                ],
+                ["lanes", self.lanes],
+                ["in-order stream", self.in_order_delivered],
+                ["reseq high-water", self.resequencer_high_water],
+                ["reseq duplicates", self.resequencer_duplicates],
+            ]
             + (
                 [
                     [
@@ -219,16 +214,6 @@ class LiveRunReport:
                     ],
                 ]
                 if self.corruptions_t or self.corruptions_r
-                else []
-            )
-            + (
-                [
-                    ["lanes", self.lanes],
-                    ["in-order stream", self.in_order_delivered],
-                    ["reseq high-water", self.resequencer_high_water],
-                    ["reseq duplicates", self.resequencer_duplicates],
-                ]
-                if self.lanes > 1
                 else []
             ),
             title="live scenario",
@@ -250,29 +235,23 @@ class LiveRunReport:
             + [["liveness", "OK" if self.liveness_passed else "VIOLATED", "-"]],
             title="Section 2.6 conditions (live trace)",
         )
-        parts = [summary, "", wire, "", checks]
-        if self.lane_metrics:
-            parts += [
-                "",
-                render_table(
-                    ["lane", "OKs", "resubs", "deliveries", "polls",
-                     "crashes T/R", "events"],
-                    [
-                        [m.lane, m.oks, m.resubmissions, m.deliveries,
-                         m.polls, f"{m.crashes_t}/{m.crashes_r}", m.events]
-                        for m in self.lane_metrics
-                    ],
-                    title="per-lane metrics",
-                ),
-            ]
-        return "\n".join(parts)
+        lanes = render_table(
+            ["lane", "OKs", "resubs", "deliveries", "polls", "crashes T/R",
+             "events"],
+            [
+                [m.lane, m.oks, m.resubmissions, m.deliveries, m.polls,
+                 f"{m.crashes_t}/{m.crashes_r}", m.events]
+                for m in self.lane_metrics
+            ],
+            title="per-lane metrics",
+        )
+        return "\n".join([summary, "", wire, "", checks, "", lanes])
 
 
 async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
     """Execute one scripted live scenario end to end (see module docstring)."""
     loop = asyncio.get_running_loop()
     root = RandomSource(scenario.seed)
-    laned = scenario.lanes > 1
     link_seed = split_seed(scenario.seed, "live-link")
 
     done = asyncio.Event()
@@ -303,113 +282,75 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
             )
         return LiveEventLog(checks=checks, tail_size=scenario.tail_size)
 
-    # One buffer pool for the whole deployment: every batched socket draws
-    # send buffers from it, so its counters are the run-wide leak check.
-    batched = scenario.wire == "batched"
-    pool = BufferPool() if batched else None
+    # One buffer pool for the whole deployment: every socket draws send
+    # buffers from it, so its counters are the run-wide leak check.
+    pool = BufferPool()
     proxy = ChaosProxy(
         plan=scenario.plan,
         profile=scenario.profile,
         rng=root.fork("chaos"),
-        on_crash=lambda station, turn, lane: _crash_station(station, turn, lane),
+        on_crash=lambda station, turn, lane: _crash_station(station, lane),
         on_abort=lambda turn: finish(
             LiveStatus.ABORTED, f"scripted abort at wire turn {turn}"
         ),
         on_corrupt=lambda event, turn, lane: _corrupt_station(event, lane),
-        wire=scenario.wire,
         pool=pool,
     )
     payloads = [b"live-%05d" % i for i in range(scenario.messages)]
     await proxy.start()
 
-    if laned:
-        # Per-lane link seeds match StripedLink(lanes, ε, seed=link_seed)
-        # exactly — the differential property test leans on this identity.
-        links = [
-            make_data_link(
-                epsilon=scenario.epsilon,
-                seed=split_seed(link_seed, "lane", i),
-            )
+    # Per-lane link seeds match StripedLink(lanes, ε, seed=link_seed)
+    # exactly — the differential property test leans on this identity.
+    links = [
+        make_data_link(
+            epsilon=scenario.epsilon,
+            seed=split_seed(link_seed, "lane", i),
+        )
+        for i in range(scenario.lanes)
+    ]
+    # One log per lane, *shared* by that lane's two stations, so each
+    # lane's trace is a self-contained protocol execution for the
+    # Section 2.6 monitors.
+    logs = [_make_log() for __ in range(scenario.lanes)]
+    tm = LanedTransmitterEndpoint(
+        links,
+        logs,
+        proxy.t_facing_address,
+        payloads,
+        on_ok=note_progress,
+        on_done=lambda: finish(LiveStatus.DELIVERED, "workload complete"),
+        restart_delay=scenario.restart_delay,
+        pool=pool,
+    )
+    rm = LanedReceiverEndpoint(
+        links,
+        logs,
+        proxy.r_facing_address,
+        [
+            AdaptiveBackoff(scenario.poll, root.fork("poll-backoff", i))
             for i in range(scenario.lanes)
-        ]
-        # One log per lane, *shared* by that lane's two stations, so each
-        # lane's trace is a self-contained protocol execution for the
-        # Section 2.6 monitors.
-        logs = [_make_log() for __ in range(scenario.lanes)]
-        tm = LanedTransmitterEndpoint(
-            links,
-            logs,
-            proxy.t_facing_address,
-            payloads,
-            on_ok=note_progress,
-            on_done=lambda: finish(LiveStatus.DELIVERED, "workload complete"),
-            restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
-            pool=pool,
-        )
-        rm = LanedReceiverEndpoint(
-            links,
-            logs,
-            proxy.r_facing_address,
-            [
-                AdaptiveBackoff(scenario.poll, root.fork("poll-backoff", i))
-                for i in range(scenario.lanes)
-            ],
-            on_progress=note_progress,
-            restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
-            pool=pool,
-        )
-    else:
-        link = make_data_link(epsilon=scenario.epsilon, seed=link_seed)
-        logs = [_make_log()]
-        tm = TransmitterEndpoint(
-            link.transmitter,
-            logs[0],
-            proxy.t_facing_address,
-            payloads,
-            on_ok=note_progress,
-            on_done=lambda: finish(LiveStatus.DELIVERED, "workload complete"),
-            restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
-            pool=pool,
-        )
-        rm = ReceiverEndpoint(
-            link.receiver,
-            logs[0],
-            proxy.r_facing_address,
-            AdaptiveBackoff(scenario.poll, root.fork("poll-backoff")),
-            on_progress=note_progress,
-            restart_delay=scenario.restart_delay,
-            wire=scenario.wire,
-            pool=pool,
-        )
+        ],
+        on_progress=note_progress,
+        restart_delay=scenario.restart_delay,
+        pool=pool,
+    )
 
-    def _crash_station(station: str, turn: int, lane: "Optional[int]") -> None:
+    def _crash_station(station: str, lane: "Optional[int]") -> None:
         # The orchestrator's kill switch: invoked by the proxy when a
         # scripted crash's wire turn arrives.  Mid-handshake by
         # construction — a turn only advances when a datagram is in flight.
-        # On a laned wire the trigger datagram's lane id rides along and
-        # only that lane dies; its siblings keep their handshakes.
-        target = tm if station == "T" else rm
-        if laned:
-            target.crash(lane)
-        else:
-            target.crash()
+        # The trigger datagram's lane id rides along and only that lane
+        # dies; its siblings keep their handshakes.
+        (tm if station == "T" else rm).crash(lane)
         note_progress()  # a crash resets the pending-send clock (Axiom 1)
 
     def _corrupt_station(event: CorruptAt, lane: "Optional[int]") -> None:
         # In-place scramble: the station keeps running on whatever garbage
-        # the seed-pinned tape produced — no dead window, no restart.  On a
-        # laned wire only the trigger datagram's lane is scrambled.
-        target = tm if event.station == "T" else rm
-        if laned:
-            if lane is not None:
-                target.corrupt_lane(lane, event.seed, event.fields)
-            else:
-                target.corrupt(event.seed, fields=event.fields)
-        else:
-            target.corrupt(event.seed, event.fields)
+        # the seed-pinned tape produced — no dead window, no restart.  Only
+        # the trigger datagram's lane is scrambled.
+        (tm if event.station == "T" else rm).corrupt(
+            event.seed, lane, event.fields
+        )
         note_progress()  # the scramble restarts the convergence clock
 
     started = time.monotonic()
@@ -419,12 +360,11 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
         await tm.start()
         await rm.start()
         proxy.connect(tm.local_address, rm.local_address)
-        # All four batched sockets flush as one group: any drain chunk may
-        # enqueue sends on any of them (station → proxy side → station),
-        # and every borrowed view must leave before buffers are reused.
+        # All four sockets flush as one group: any drain chunk may enqueue
+        # sends on any of them (station → proxy side → station), and every
+        # borrowed view must leave before buffers are reused.
         wire_ios = tm.wire_ios + rm.wire_ios + proxy.wire_ios
-        if wire_ios:
-            link_flush_group(wire_ios)
+        link_flush_group(wire_ios)
 
         async def _give_up_watch() -> None:
             # Deadline-based supervision: the poll backoff retransmits, this
@@ -494,28 +434,22 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
     liveness_passed = all(
         log.liveness_report(run_completed=completed).passed for log in logs
     )
-    lane_metrics: List[LaneMetrics] = []
-    if laned:
-        # Stitch the TM-side and RM-side halves of each lane's counters
-        # (both endpoints share the lane's log, so events agree).
-        for t, r in zip(tm.lane_metrics(), rm.lane_metrics()):
-            lane_metrics.append(
-                LaneMetrics(
-                    lane=t.lane,
-                    oks=t.oks,
-                    resubmissions=t.resubmissions,
-                    deliveries=r.deliveries,
-                    polls=r.polls,
-                    crashes_t=t.crashes_t,
-                    crashes_r=r.crashes_r,
-                    events=t.events,
-                )
-            )
+    # Stitch the RM-side half of each lane's counters onto the TM-side half
+    # (both endpoints share the lane's log, so events agree).
+    lane_metrics = [
+        replace(
+            t,
+            deliveries=r.deliveries,
+            polls=r.polls,
+            crashes_r=r.crashes_r,
+            corruptions_r=r.corruptions_r,
+        )
+        for t, r in zip(tm.lane_metrics(), rm.lane_metrics())
+    ]
     forensic_tail: List[str] = []
     if not completed:
         for index, log in enumerate(logs):
-            if laned:
-                forensic_tail.append(f"-- lane {index} --")
+            forensic_tail.append(f"-- lane {index} --")
             forensic_tail.extend(log.tail_lines())
     return LiveRunReport(
         scenario=scenario,
@@ -528,26 +462,29 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
         resubmissions=tm.resubmissions,
         crashes_t=tm.crashes,
         crashes_r=rm.crashes,
-        malformed_datagrams=tm.malformed + rm.malformed,
+        # Both kinds of rejected datagram: a body the codec refused, and a
+        # lane byte outside [0, lanes).
+        malformed_datagrams=(
+            tm.malformed + rm.malformed + tm.foreign_lanes + rm.foreign_lanes
+        ),
         events_seen=sum(log.events_seen for log in logs),
         wall_seconds=time.monotonic() - started,
         proxy=proxy.stats,
         lanes=scenario.lanes,
         lane_metrics=lane_metrics,
-        resequencer_high_water=(rm.resequencer.high_water if laned else 0),
-        resequencer_duplicates=(rm.resequencer.duplicates if laned else 0),
-        in_order_delivered=(len(rm.delivered) if laned else rm.deliveries),
+        resequencer_high_water=rm.resequencer.high_water,
+        resequencer_duplicates=rm.resequencer.duplicates,
+        in_order_delivered=len(rm.delivered),
         corruptions_t=tm.corruptions,
         corruptions_r=rm.corruptions,
         stabilization=stabilization,
-        wire=scenario.wire,
         # Stats survive close(); teardown has already flushed or released
         # every in-flight buffer, so pool_outstanding must read 0 here —
         # the crash-amnesia leak test pins exactly that.
-        wire_stats=(merge_wire_stats(wire_ios) if wire_ios else None),
-        pool_outstanding=(pool.outstanding if pool is not None else 0),
-        pool_allocated=(pool.allocated if pool is not None else 0),
-        pool_high_water=(pool.high_water if pool is not None else 0),
+        wire_stats=merge_wire_stats(wire_ios),
+        pool_outstanding=pool.outstanding,
+        pool_allocated=pool.allocated,
+        pool_high_water=pool.high_water,
         delivered_stream=list(rm.delivered),
         forensic_tail=forensic_tail,
     )

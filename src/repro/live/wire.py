@@ -1,10 +1,10 @@
 """Zero-copy batched datagram I/O for the live protocol stack.
 
-The PR-4/PR-5 wire wakes the event loop once per datagram and allocates a
-fresh ``bytes`` per packet in each direction.  On loopback with zero
-synthetic latency the 8-lane handshake chain is self-clocking, so syscall
-count and allocation churn *are* the throughput ceiling.  This module
-replaces asyncio's per-datagram transport with a drain/flush socket layer:
+asyncio's stock datagram transport wakes the event loop once per datagram
+and allocates a fresh ``bytes`` per packet in each direction.  On loopback
+with zero synthetic latency the 8-lane handshake chain is self-clocking,
+so syscall count and allocation churn *are* the throughput ceiling.  This
+module is the live stack's one datagram layer, a drain/flush socket layer:
 
 * **Drain**: one reader-ready wakeup drains *every* queued datagram from
   the non-blocking socket — via a ctypes ``recvmmsg`` fast path (one
@@ -31,8 +31,8 @@ pool buffers — and a writer callback retries, so no pending send ever
 references a receive buffer across wakeups.
 
 Everything here degrades cleanly: no ``recvmmsg``/``sendmmsg`` in libc
-(non-Linux), or ``use_mmsg=False``, selects the plain non-blocking
-fallback with identical semantics.
+(non-Linux), ``REPRO_NO_MMSG=1`` in the environment, or ``use_mmsg=False``
+selects the plain non-blocking fallback with identical semantics.
 """
 
 from __future__ import annotations
@@ -372,9 +372,8 @@ class BatchedDatagramIO:
         and the sendmmsg headers carry no per-datagram destination.  A
         connected UDP socket silently drops traffic from any other
         source, so this is only correct where the topology guarantees
-        one peer — e.g. the wire pump, where every socket talks to
-        exactly one other.  Sends must still pass the peer's address
-        (checked), so call sites read identically in both modes.
+        one peer.  Sends must still pass the peer's address (checked),
+        so call sites read identically in both modes.
 
         Call after :meth:`open`; peers with mutual links must all bind
         before either end connects.

@@ -36,16 +36,7 @@ The harness answers three questions, repeatably:
   ``live_lane_speedup`` ratio (8 lanes vs 1) measures how much of Axiom
   1's stop-and-wait latency the lane striping actually pipelines away on
   a real wire; every leg must deliver its whole workload with clean
-  verdicts or the benchmark raises;
-
-* **live_wire** — loopback messages/sec of the isolated wire pump
-  (:mod:`repro.live.pump`): identical credit-based 8-lane workloads
-  through the classic per-datagram asyncio transports vs the batched
-  drain/flush layer.  The gated ``live_wire_speedup`` ratio (batched
-  over classic) is the wire-layer win in isolation — the full-scenario
-  numbers blend it with protocol cost.  Both modes must deliver every
-  message (the pump's credit chain stalls on loss) and the batched leg
-  must return its buffer pool to zero outstanding, or the leg raises.
+  verdicts or the benchmark raises.
 
 Absolute throughput is machine-dependent, so the regression gate
 (:func:`check_regression`) compares only *within-run ratios* — the
@@ -163,7 +154,6 @@ _GATE_KEYS = (
     "memory_reduction_lossy",
     "campaign_dispatch_speedup",
     "live_lane_speedup",
-    "live_wire_speedup",
     "stabilization_overhead",
     "kernel_steps_speedup",
     "kernel_steps_speedup_lossy",
@@ -192,14 +182,12 @@ _GATE_FLOORS = {
 }
 
 #: Per-key overrides of :func:`check_regression`'s default threshold.
-#: The live legs time real kernel round trips on a shared host's
-#: loopback, so their run-to-run variance is far above the simulator
+#: The live leg times real kernel round trips on a shared host's
+#: loopback, so its run-to-run variance is far above the simulator
 #: ratios'; the wider tolerance still keeps the committed ~5x lane
-#: baseline gated above the 2.5x target and the ~2x wire baseline
-#: gated above parity.
+#: baseline gated above the 2.5x target.
 _GATE_THRESHOLDS = {
     "live_lane_speedup": 0.5,
-    "live_wire_speedup": 0.5,
     # The relay legs time whole end-to-end fabric runs (hundreds of
     # per-link simulations each); their run-to-run variance is closer
     # to the live legs' than the simulator ratios'.  relay_stripe_speedup
@@ -617,71 +605,6 @@ def _bench_live(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
     return stats
 
 
-#: Wire modes the pump leg compares (classic is the PR-4/PR-5 baseline).
-_WIRE_MODES = ("classic", "batched")
-
-#: Interleaved wall-clock repetitions per wire mode; best-of is recorded
-#: (the loopback pump is at the mercy of the rest of the machine, and the
-#: run least disturbed by it is the one that measures the wire).
-_WIRE_REPEATS = 3
-
-
-def _bench_live_wire(
-    messages: int, lanes: int = 8
-) -> Dict[str, Dict[str, float]]:
-    """Classic vs batched wire throughput on the isolated loopback pump.
-
-    Both modes pump the identical credit-based workload (same frames,
-    same topology, same window); the modes take turns repetition by
-    repetition so host drift hits both about equally, and each mode
-    keeps its best run.  The pump's credit chain stalls (and times out)
-    if any datagram is lost, so a completed run *is* the delivery proof;
-    the batched leg additionally must hand every pool buffer back.
-    """
-    from repro.live.pump import run_wire_pump
-
-    totals = {
-        wire: {"best_mps": 0.0, "wall_seconds": math.inf, "reps": []}
-        for wire in _WIRE_MODES
-    }
-    mmsg = False
-    warmup = max(200, messages // 10)
-    for wire in _WIRE_MODES:
-        run_wire_pump(wire=wire, messages=warmup, lanes=lanes)
-    for _ in range(_WIRE_REPEATS):
-        for wire in _WIRE_MODES:
-            gc.collect()
-            report = run_wire_pump(wire=wire, messages=messages, lanes=lanes)
-            bucket = totals[wire]
-            mps = report.messages_per_second
-            bucket["reps"].append(round(mps, 1))
-            bucket["best_mps"] = max(bucket["best_mps"], mps)
-            bucket["wall_seconds"] = min(
-                bucket["wall_seconds"], report.wall_seconds
-            )
-            if wire == "batched":
-                mmsg = mmsg or (report.wire_stats is not None
-                                and report.wire_stats.mmsg)
-                if report.pool_outstanding:
-                    raise RuntimeError(
-                        "batched wire pump leaked "
-                        f"{report.pool_outstanding} pool buffers"
-                    )
-    stats: Dict[str, Dict[str, float]] = {}
-    for wire, bucket in totals.items():
-        entry = {
-            "messages": messages,
-            "lanes": lanes,
-            "wall_seconds": bucket["wall_seconds"],
-            "messages_per_second": bucket["best_mps"],
-            "rep_messages_per_second": bucket["reps"],
-        }
-        if wire == "batched":
-            entry["mmsg"] = mmsg
-        stats[wire] = entry
-    return stats
-
-
 def _synthetic_events(count: int) -> List[Event]:
     """A protocol-shaped event mix: one handshake per message, no faults."""
     events: List[Event] = []
@@ -946,12 +869,6 @@ def gate_ratios(results: dict) -> Dict[str, float]:
             live["lanes_8"]["messages_per_second"]
             / live["lanes_1"]["messages_per_second"]
         )
-    live_wire = results.get("live_wire")
-    if live_wire and live_wire["classic"]["messages_per_second"] > 0:
-        ratios["live_wire_speedup"] = (
-            live_wire["batched"]["messages_per_second"]
-            / live_wire["classic"]["messages_per_second"]
-        )
     stabilization = results.get("stabilization")
     if stabilization and stabilization["plain"]["steps_per_second"] > 0:
         ratios["stabilization_overhead"] = (
@@ -1004,12 +921,10 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
     if quick:
         messages, runs, micro_events, live_messages = 60, 4, 40_000, 40
         kernel_messages, kernel_pairs = 800, 5
-        wire_messages = 2000
         relay_messages = 40
     else:
         messages, runs, micro_events, live_messages = 200, 12, 200_000, 80
         kernel_messages, kernel_pairs = 2000, 8
-        wire_messages = 8000
         relay_messages = 120
     memory_messages = messages * 2
     specs = {
@@ -1035,7 +950,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
     }
     campaign = _bench_campaign(campaign_runs, base_seed)
     live = _bench_live(live_messages, base_seed)
-    live_wire = _bench_live_wire(wire_messages)
     stabilization = _bench_stabilization(messages, runs, base_seed)
     kernel = _bench_kernel(kernel_messages, kernel_pairs, base_seed)
     relay = _bench_relay(relay_messages, base_seed)
@@ -1047,7 +961,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
         "micro": micro,
         "campaign": campaign,
         "live": live,
-        "live_wire": live_wire,
         "stabilization": stabilization,
         "kernel": kernel,
         "relay": relay,
@@ -1064,7 +977,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
             "micro_events": micro_events,
             "campaign_runs": campaign_runs,
             "live_messages": live_messages,
-            "wire_messages": wire_messages,
             "kernel_messages": kernel_messages,
             "kernel_pairs": kernel_pairs,
             "relay_messages": relay_messages,

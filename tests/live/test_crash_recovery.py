@@ -13,7 +13,9 @@ the start of the next handshake — and assert that:
   run ends in an *explicit* give-up — never a hang (the budget/give-up
   teardown is part of the invariant);
 * a transmitter crash mid-handshake re-queues the in-flight slot under a
-  fresh attempt suffix — a distinct value, preserving Axiom 2.
+  fresh attempt number — a distinct value, preserving Axiom 2 — and the
+  application still receives every payload exactly once, in order, even
+  with a single lane.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro.live import BackoffPolicy, LiveScenario, LiveStatus, run_live_scenario
-from repro.live.endpoints import _Slot
+from repro.live.lanes import frame_stripe, unframe_stripe
 from repro.resilience.faultplan import CrashAt, FaultPlan
 
 # Fast schedule so twelve scenarios stay cheap; tight but real budgets so
@@ -63,7 +65,7 @@ def test_crash_at_every_phase_recovers_safely(station, turn):
     )
 
 
-@pytest.mark.parametrize("turn", [2, 4, 6])
+@pytest.mark.parametrize("turn", [2, 3, 4, 6])
 def test_transmitter_crash_resubmits_under_fresh_value(turn):
     # The TM is mid-handshake at every early wire turn (the next slot is
     # submitted synchronously with each OK), so an amnesia crash always
@@ -72,9 +74,14 @@ def test_transmitter_crash_resubmits_under_fresh_value(turn):
     assert report.resubmissions == 1
     assert report.status is LiveStatus.DELIVERED
     assert report.safety.passed
-    # The RM delivered the resubmitted incarnation too, so deliveries may
-    # exceed OKs by at most the resubmission count.
+    # The RM lane may deliver both incarnations, so deliveries may exceed
+    # OKs by at most the resubmission count ...
     assert report.oks <= report.deliveries <= report.oks + report.resubmissions
+    # ... but the stripe sequence number lets the resequencer drop the
+    # replay: the application gets each payload exactly once, in order,
+    # on one lane as on many.
+    payloads = [b"live-%05d" % i for i in range(MESSAGES)]
+    assert report.delivered_stream == payloads
 
 
 def test_both_stations_crash_in_one_run():
@@ -98,9 +105,11 @@ def test_both_stations_crash_in_one_run():
 
 
 def test_slot_attempt_suffixes_are_distinct():
-    values = {_Slot(b"msg", attempt).value() for attempt in range(4)}
+    values = {frame_stripe(7, attempt, b"msg") for attempt in range(4)}
     assert len(values) == 4
-    assert _Slot(b"msg", 0).value() == b"msg"
+    assert {unframe_stripe(value) for value in values} == {
+        (7, attempt, b"msg") for attempt in range(4)
+    }
 
 
 def test_crash_turn_never_reached_is_benign():

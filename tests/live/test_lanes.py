@@ -46,7 +46,6 @@ from repro.live import (
     LinkProfile,
     LiveScenario,
     LiveStatus,
-    ReceiverEndpoint,
     run_live_scenario,
 )
 from repro.resilience.faultplan import CrashAt, FaultPlan
@@ -166,7 +165,7 @@ def test_proxy_never_decodes_payload_bytes(monkeypatch):
     laned = encode_lane_frame(3, data)
 
     proxy._on_datagram(ChannelId.T_TO_R, laned)  # laned data packet
-    proxy._on_datagram(ChannelId.R_TO_T, poll)  # classic unlaned poll
+    proxy._on_datagram(ChannelId.R_TO_T, poll)  # bare, unlaned poll
     proxy._on_datagram(ChannelId.T_TO_R, b"\xff\xff")  # foreign identifier
 
     # Both well-formed datagrams were forwarded byte-identically — the
@@ -185,29 +184,33 @@ def test_crash_mid_backoff_cancels_pending_poll():
     # Regression: a poll scheduled before a crash must never fire into the
     # cold-restarted automaton.  With a 10s backoff the pending poll is
     # guaranteed to still be scheduled when the crash lands.
-    async def _run():
-        link = make_data_link(epsilon=2.0 ** -16, seed=5)
-        rm = ReceiverEndpoint(
-            link.receiver, LiveEventLog(), _NOWHERE,
-            AdaptiveBackoff(_SLOW_POLL, RandomSource(5).fork("poll")),
+    def _one_lane_rm(seed: int) -> LanedReceiverEndpoint:
+        return LanedReceiverEndpoint(
+            [make_data_link(epsilon=2.0 ** -16, seed=seed)], [LiveEventLog()],
+            _NOWHERE,
+            [AdaptiveBackoff(_SLOW_POLL, RandomSource(seed).fork("poll"))],
             restart_delay=0.01,
         )
+
+    async def _run():
+        rm = _one_lane_rm(5)
+        lane = rm._lanes[0]
         await rm.start()
         # The chain is live: first poll sent, next one pending 10s out.
         assert rm.pending_timer_count == 1
 
         rm.crash()
-        assert rm.dead
+        assert lane.dead
         # The pending poll died with the volatile state; the only timer
         # left is the restart.
-        assert rm._poll_handle is None
+        assert lane.poll_handle is None
         assert rm.pending_timer_count == 1
 
         await asyncio.sleep(0.05)
         # Cold restart: automaton back, backoff reset, fresh poll chain.
-        assert not rm.dead
+        assert not lane.dead
         assert rm.pending_timer_count == 1
-        assert rm.backoff.attempts_without_progress <= 1
+        assert lane.backoff.attempts_without_progress <= 1
 
         # Teardown sweeps everything — nothing left on the caller's loop.
         rm.close()
@@ -215,18 +218,13 @@ def test_crash_mid_backoff_cancels_pending_poll():
 
         # Crash-then-close before the restart fires: the restart callback
         # is cancelled too, so the endpoint stays down for good.
-        link2 = make_data_link(epsilon=2.0 ** -16, seed=6)
-        rm2 = ReceiverEndpoint(
-            link2.receiver, LiveEventLog(), _NOWHERE,
-            AdaptiveBackoff(_SLOW_POLL, RandomSource(6).fork("poll")),
-            restart_delay=0.01,
-        )
+        rm2 = _one_lane_rm(6)
         await rm2.start()
         rm2.crash()
         rm2.close()
         assert rm2.pending_timer_count == 0
         await asyncio.sleep(0.05)
-        assert rm2.dead
+        assert rm2._lanes[0].dead
 
     asyncio.run(_run())
 

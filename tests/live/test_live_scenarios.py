@@ -22,14 +22,15 @@ from repro.live import (
     AdaptiveBackoff,
     BackoffPolicy,
     ChaosProxy,
+    LanedReceiverEndpoint,
+    LanedTransmitterEndpoint,
     LinkProfile,
     LiveScenario,
     LiveStatus,
-    ReceiverEndpoint,
-    TransmitterEndpoint,
     run_live_scenario,
+    run_live_scenario_async,
 )
-from repro.resilience.faultplan import CrashAt, DropWindow, FaultPlan
+from repro.resilience.faultplan import CrashAt, DropWindow, FaultPlan, HangAt
 
 _FAST_POLL = BackoffPolicy(base=0.002, factor=2.0, cap=0.05, jitter=0.25)
 
@@ -127,13 +128,16 @@ def test_scenario_validation():
         LiveScenario(budget=0.0)
     with pytest.raises(ValueError):
         LiveScenario(give_up_polls=-1)
+    with pytest.raises(ValueError):
+        LiveScenario(wire="classic")  # the batched wire is the only one
 
 
 def test_malformed_datagrams_are_counted_not_fatal():
     # A live port sees whatever bytes arrive.  Spray garbage at both the
     # proxy (foreign identifier -> rejected by the peek) and the receiver
-    # directly (valid identifier, rotten body -> rejected by the decode)
-    # while a real workload runs; everything still delivers.
+    # directly (valid lane and identifier, rotten body -> rejected by the
+    # decode) while a real one-lane workload runs; everything still
+    # delivers.
     async def _run():
         log = LiveEventLog()
         link = make_data_link(epsilon=2.0 ** -16, seed=21)
@@ -142,14 +146,14 @@ def test_malformed_datagrams_are_counted_not_fatal():
 
         proxy = ChaosProxy(rng=root.fork("chaos"))
         await proxy.start()
-        tm = TransmitterEndpoint(
-            link.transmitter, log, proxy.t_facing_address,
+        tm = LanedTransmitterEndpoint(
+            [link], [log], proxy.t_facing_address,
             [b"m-%d" % i for i in range(5)],
             on_done=done.set,
         )
-        rm = ReceiverEndpoint(
-            link.receiver, log, proxy.r_facing_address,
-            AdaptiveBackoff(_FAST_POLL, root.fork("poll")),
+        rm = LanedReceiverEndpoint(
+            [link], [log], proxy.r_facing_address,
+            [AdaptiveBackoff(_FAST_POLL, root.fork("poll"))],
         )
         try:
             await tm.start()
@@ -161,11 +165,12 @@ def test_malformed_datagrams_are_counted_not_fatal():
                 for _ in range(20):
                     # Foreign identifier: the proxy's peek rejects it.
                     garbage.sendto(b"\x00not-a-packet", proxy.t_facing_address)
-                    # Valid data-packet identifier, truncated body: forwarded
-                    # by the proxy (peek passes), rejected by the RM's codec.
-                    garbage.sendto(b"\xd1\xff\xff", proxy.t_facing_address)
+                    # Lane 0, data-packet identifier, truncated body:
+                    # forwarded by the proxy (peek passes), rejected by the
+                    # RM's codec.
+                    garbage.sendto(b"\x00\xd1\xff\xff", proxy.t_facing_address)
                     # Straight at the receiver, bypassing the proxy.
-                    garbage.sendto(b"\xa5junk", rm.local_address)
+                    garbage.sendto(b"\x00\xa5junk", rm.local_address)
                 await asyncio.wait_for(done.wait(), timeout=15.0)
             finally:
                 garbage.close()
@@ -178,9 +183,66 @@ def test_malformed_datagrams_are_counted_not_fatal():
 
     stats, tm, rm, log = asyncio.run(_run())
     assert tm.oks == 5
-    assert stats.foreign >= 20  # \x00-headed garbage died at the proxy
+    assert stats.foreign >= 20  # the unknown identifier died at the proxy
     assert rm.malformed >= 20  # the rest died at the receiver's codec
     assert log.safety_report().passed
+
+
+def test_report_counts_frames_with_a_foreign_lane_byte(monkeypatch):
+    # A frame whose lane byte is outside [0, lanes) passes the proxy's peek
+    # (lane and identifier are well formed) and is rejected by the station;
+    # the report counts it with the codec rejections.
+    lanes, copies = 2, 10
+    garbage = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    connect = ChaosProxy.connect
+
+    def spraying_connect(proxy, tm_addr, rm_addr):
+        connect(proxy, tm_addr, rm_addr)
+        for _ in range(copies):
+            # Lane 5 of 2, towards the RM and towards the TM.
+            garbage.sendto(b"\x05\xd1\xff\xff", proxy.t_facing_address)
+            garbage.sendto(b"\x05\xa5\xff\xff", proxy.r_facing_address)
+            # A valid lane with a rotten body, towards the RM.
+            garbage.sendto(b"\x01\xd1\xff\xff", proxy.t_facing_address)
+
+    monkeypatch.setattr(ChaosProxy, "connect", spraying_connect)
+    try:
+        report = run_live_scenario(LiveScenario(
+            messages=12, seed=8, lanes=lanes, poll=_FAST_POLL,
+            budget=20.0, give_up_idle=4.0, label="foreign-lanes",
+        ))
+    finally:
+        garbage.close()
+    assert report.ok, report.reason
+    assert report.proxy.foreign == 0  # every frame passed the peek
+    assert report.malformed_datagrams == 3 * copies
+
+
+@pytest.mark.parametrize(
+    "profile, plan",
+    [
+        (LinkProfile(reorder=0.3, reorder_hold=2.0), FaultPlan()),
+        (LinkProfile(), FaultPlan.of(HangAt(step=4, seconds=30.0))),
+    ],
+    ids=["held-forwards", "hang"],
+)
+def test_no_timer_outlives_the_scenario(profile, plan):
+    # Delayed forwards and hang releases are scheduled on the caller's
+    # loop; teardown must cancel them with the stations' poll and restart
+    # timers, so nothing fires after the report is returned.
+    async def _run():
+        report = await run_live_scenario_async(LiveScenario(
+            messages=10, seed=6, lanes=2, profile=profile, plan=plan,
+            poll=_FAST_POLL, budget=20.0, give_up_idle=0.5, label="timers",
+        ))
+        # TimerHandles not yet run stay in the loop's private heap until
+        # they fire; cancelled ones are only marked.
+        loop = asyncio.get_running_loop()
+        return report, [h for h in loop._scheduled if not h.cancelled()]
+
+    report, live = asyncio.run(_run())
+    assert live == []
+    assert report.proxy.reordered or report.proxy.stalled
 
 
 # -- self-stabilizing mode (docs/PROTOCOL.md §13) -----------------------------------
@@ -237,6 +299,10 @@ def test_corrupted_laned_scenario_stabilizes_per_lane():
     assert report.status is LiveStatus.STABILIZED
     assert report.ok
     assert report.corruptions_t + report.corruptions_r == 2
+    # The per-lane rows add up to the run totals.
+    lanes = report.lane_metrics
+    assert sum(m.corruptions_t for m in lanes) == report.corruptions_t
+    assert sum(m.corruptions_r for m in lanes) == report.corruptions_r
     assert report.stabilization is not None
     assert report.stabilization.stabilized
 

@@ -1,17 +1,11 @@
-"""The batched datagram layer: drain/flush mechanics, parity, hygiene.
+"""The batched datagram layer: drain/flush mechanics and hygiene.
 
-Three layers of pinning for docs/PROTOCOL.md §15:
+Two layers of pinning for docs/PROTOCOL.md §15:
 
 * **unit** — :class:`BatchedDatagramIO` against real loopback sockets,
   on both the recvmmsg/sendmmsg fast path and the portable fallback:
   multi-chunk drains, zero-copy forwards across a flush group, short
   datagrams, connected-peer mode, and buffer-pool accounting;
-* **differential** — the same pinned-seed live scenarios run over the
-  classic and batched wires must produce identical verdicts and an
-  identical delivered byte stream (the wire moves datagrams; it must
-  never move the protocol), including scripted crash turns — the chaos
-  proxy's turn clock counts observed datagrams one at a time regardless
-  of how the wire batches them;
 * **hygiene** — every pooled send buffer is back in the pool when a run
   ends, including runs where both stations cold-restart mid-flight with
   total amnesia (in-flight buffers must not leak across the restart).
@@ -23,8 +17,7 @@ import asyncio
 
 import pytest
 
-from repro.live import BackoffPolicy, LinkProfile, LiveScenario, LiveStatus
-from repro.live.pump import run_wire_pump
+from repro.live import BackoffPolicy, LiveScenario
 from repro.live.scenario import run_live_scenario
 from repro.live.wire import (
     BatchedDatagramIO,
@@ -216,106 +209,27 @@ def test_buffer_pool_accounting():
     assert len(big) >= 4096
 
 
-# -- differential: the wire must never move the protocol -------------------------
-
-
-def _scenario(wire: str, **overrides) -> LiveScenario:
-    base = dict(
-        messages=16,
-        seed=2026,
-        lanes=4,
-        poll=_FAST_POLL,
-        budget=30.0,
-        give_up_idle=5.0,
-        wire=wire,
-        label=f"wire-diff-{wire}",
-    )
-    base.update(overrides)
-    return LiveScenario(**base)
-
-
-def _verdict_fingerprint(report):
-    """Everything the wire layer must not change, in one comparable value."""
-    return (
-        report.status,
-        report.oks,
-        report.deliveries,
-        tuple((r.condition, r.passed) for r in report.safety.all_reports),
-        report.liveness_passed,
-        report.in_order_delivered,
-        tuple(report.delivered_stream),
-    )
-
-
-def test_clean_run_verdicts_are_wire_independent():
-    classic = run_live_scenario(_scenario("classic"))
-    batched = run_live_scenario(_scenario("batched"))
-    assert classic.ok and batched.ok
-    assert _verdict_fingerprint(classic) == _verdict_fingerprint(batched)
-    assert batched.pool_outstanding == 0
-
-
-def test_chaos_run_verdicts_are_wire_independent():
-    # Stochastic faults plus scripted crashes: trajectories may differ in
-    # timing, but both wires must deliver the whole workload with clean
-    # Section 2.6 verdicts and the identical reassembled byte stream —
-    # and the scripted turn clock must fire the crashes on both wires
-    # (the proxy counts datagrams one at a time even when drained in
-    # batches).
-    chaos = dict(
-        profile=LinkProfile(drop=0.05, duplicate=0.04, reorder=0.04,
-                            delay=0.001, jitter=0.001),
-        plan=FaultPlan.of(CrashAt(step=20, station="T"),
-                          CrashAt(step=50, station="R")),
-        budget=45.0,
-        messages=24,
-    )
-    classic = run_live_scenario(_scenario("classic", **chaos))
-    batched = run_live_scenario(_scenario("batched", **chaos))
-    for report in (classic, batched):
-        assert report.status is LiveStatus.DELIVERED, report.reason
-        assert report.safety.passed
-        assert report.liveness_passed
-        assert report.crashes_t == 1 and report.crashes_r == 1
-    assert classic.delivered_stream == batched.delivered_stream
-    assert classic.oks == batched.oks == 24
-    assert batched.pool_outstanding == 0
-    if mmsg_available():
-        assert batched.wire_stats is not None and batched.wire_stats.mmsg
+# -- hygiene: the pool across crash-amnesia restarts ----------------------------
 
 
 def test_crash_amnesia_does_not_leak_pool_buffers():
     # Both stations cold-restart with total amnesia mid-run; whatever
     # pooled send buffers were in flight at the crash must still come
     # home by teardown.  This is the §15 hygiene invariant.
-    report = run_live_scenario(_scenario(
-        "batched",
+    report = run_live_scenario(LiveScenario(
         messages=20,
+        seed=2026,
+        lanes=4,
         plan=FaultPlan.of(CrashAt(step=15, station="T"),
                           CrashAt(step=40, station="R")),
+        poll=_FAST_POLL,
         budget=45.0,
+        give_up_idle=5.0,
+        label="wire-hygiene",
     ))
     assert report.ok, report.reason
     assert report.crashes_t == 1 and report.crashes_r == 1
     assert report.pool_outstanding == 0
     assert report.pool_high_water >= 1  # the pool actually carried traffic
-
-
-# -- the pump (bench leg) --------------------------------------------------------
-
-
-@pytest.mark.parametrize("wire", ["classic", "batched"])
-def test_wire_pump_delivers_full_workload(wire):
-    report = run_wire_pump(wire=wire, messages=600, lanes=4, window=8,
-                           timeout=30.0)
-    assert report.messages == 600
-    assert report.messages_per_second > 0
-    if wire == "batched":
-        assert report.pool_outstanding == 0
-        stats = report.wire_stats
-        # Every message crosses four sockets: sender→relay, relay→receiver,
-        # and the poll back through both — exact accounting, no loss.
-        assert stats.datagrams_received == 4 * 600
-        assert stats.datagrams_sent == 4 * 600
-        assert stats.send_errors == 0
-        assert stats.mmsg is mmsg_available()
+    # The scenario's sockets take the fast path wherever the host has it.
+    assert report.wire_stats.mmsg is mmsg_available()
