@@ -11,9 +11,11 @@ loop).  The object graph is re-synchronised at run boundaries, so the
 stations, channels and adversaries remain the public API (the veneer
 contract — see PROTOCOL.md §14).
 
-Entry points: :func:`repro.kernel.engine.run_kernel`, reached through
-``Simulator(engine="kernel")``, and :class:`repro.kernel.hop.HopKernel`,
-the persistent per-hop variant the relay fabric drives in bursts
+There is one step loop, :func:`repro.kernel.engine.step_loop`, a
+generator resumed in bursts.  :func:`repro.kernel.engine.run_kernel`,
+reached through ``Simulator(engine="kernel")``, runs it as one burst to
+the end of the run; :class:`repro.kernel.hop.HopKernel` is the relay
+fabric's handle on a hop's loop, resumed a burst per fabric tick
 (``FabricSpec(engine="kernel")``).
 """
 

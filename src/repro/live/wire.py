@@ -285,7 +285,6 @@ class BatchedDatagramIO:
         self._sock: Optional[socket.socket] = None
         self._fd = -1
         self._loop = None
-        self._connected: Optional[Address] = None
         self._closed = False
         self._writer_armed = False
         # The flush group: IOs whose sends must all be flushed before any
@@ -364,30 +363,6 @@ class BatchedDatagramIO:
         self._fd = sock.fileno()
         self._loop = asyncio.get_running_loop()
         self._loop.add_reader(self._fd, self._on_readable)
-
-    def connect(self, remote_addr: Address) -> None:
-        """Pin the socket to a single fixed peer (strictly 1:1 links only).
-
-        The kernel then resolves the route once instead of per datagram
-        and the sendmmsg headers carry no per-datagram destination.  A
-        connected UDP socket silently drops traffic from any other
-        source, so this is only correct where the topology guarantees
-        one peer.  Sends must still pass the peer's address (checked),
-        so call sites read identically in both modes.
-
-        Call after :meth:`open`; peers with mutual links must all bind
-        before either end connects.
-        """
-        assert self._sock is not None, "connect() requires open() first"
-        self._sock.connect(remote_addr)
-        self._connected = remote_addr
-        if self._api is not None:
-            # Connected sends pass msg_name=NULL: zero the name fields
-            # once here rather than branching per datagram (flushes done
-            # before connecting may have written addresses into them).
-            for i in range(self.batch):
-                self._shdrs[i].msg_hdr.msg_name = None
-                self._shdrs[i].msg_hdr.msg_namelen = 0
 
     @property
     def local_address(self) -> Address:
@@ -507,9 +482,6 @@ class BatchedDatagramIO:
         """
         if self._closed:
             return
-        con = self._connected
-        if con is not None and addr is not con and addr != con:
-            raise ValueError(f"socket is connected to {con}, not {addr}")
         self._pending.append((data, len(data), addr, False))
         if not self._gstate.draining:
             self.flush()
@@ -519,10 +491,6 @@ class BatchedDatagramIO:
         if self._closed:
             self.pool.release(buf)
             return
-        con = self._connected
-        if con is not None and addr is not con and addr != con:
-            self.pool.release(buf)
-            raise ValueError(f"socket is connected to {con}, not {addr}")
         self._pending.append((buf, nbytes, addr, True))
         if not self._gstate.draining:
             self.flush()
@@ -563,7 +531,6 @@ class BatchedDatagramIO:
         base_cache = self._gstate.base_cache
         from_buffer = _C0.from_buffer
         addressof = ctypes.addressof
-        connected = self._connected is not None
         while pending:
             chunk = pending[:batch]
             # `keepalive` pins the borrowed ctypes windows until the
@@ -617,13 +584,12 @@ class BatchedDatagramIO:
                         base = addressof(ref)
                 siov_q[qi] = base
                 siov_q[qi + 1] = nbytes
-                if not connected:
-                    sa = saddr_cache.get(addr)
-                    if sa is None:
-                        struct_ = _pack_sockaddr(addr)
-                        sa = (struct_, addressof(struct_))
-                        saddr_cache[addr] = sa
-                    shdr_q[hi] = sa[1]
+                sa = saddr_cache.get(addr)
+                if sa is None:
+                    struct_ = _pack_sockaddr(addr)
+                    sa = (struct_, addressof(struct_))
+                    saddr_cache[addr] = sa
+                shdr_q[hi] = sa[1]
                 qi += 2
                 hi += hstride
             sent = sendmmsg(fd, self._shdrs, len(chunk), 0)
@@ -655,17 +621,13 @@ class BatchedDatagramIO:
     def _flush_fallback(self) -> None:
         assert self._sock is not None
         sock = self._sock
-        connected = self._connected is not None
         pending = self._pending
         sent_any = 0
         while pending:
             obj, nbytes, addr, pooled = pending[0]
             data = obj if len(obj) == nbytes else memoryview(obj)[:nbytes]
             try:
-                if connected:
-                    sock.send(data)
-                else:
-                    sock.sendto(data, addr)
+                sock.sendto(data, addr)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:

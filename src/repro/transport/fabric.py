@@ -55,6 +55,7 @@ from repro.core.events import OK, ReceiveMsg, make_receive_msg, make_send_msg
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
 from repro.core.random_source import RandomSource, split_seed
+from repro.kernel.hop import HopKernel
 from repro.resilience.faultplan import (
     FaultPlan,
     LinkDownWindow,
@@ -106,7 +107,8 @@ class _LinkAdversary(Adversary):
     at the wire's next move.  Per-link RETRY polling (the receiver's
     internal action, forced by the harness cadence) is what re-solicits the
     lost traffic after a heal — no fabric-level bookkeeping needed below
-    the end-to-end retransmission layer.
+    the end-to-end retransmission layer.  The kernel runs this class as
+    its wire mode (PROTOCOL.md §17).
     """
 
     def __init__(self, state: LinkState) -> None:
@@ -142,10 +144,16 @@ class _LinkSimulator(Simulator):
 
     Replaces the pull-style workload with a push-style ``feed`` deque (the
     origin node's outgoing memory) and collects the far end's deliveries
-    via a trace observer (so they surface even under ``retain="none"``).
-    Frame uids are stamped here — per directed link, monotone, and *not*
-    wiped by crashes, because they are the environment's Axiom 2
-    bookkeeping, not station memory.
+    through an ordinary ``ReceiveMsg`` observer of its trace,
+    :meth:`_collect` (so they surface even under ``retain="none"``, and the
+    kernel's loop calls it directly).  Frame uids are stamped here — per
+    directed link, monotone, and *not* wiped by crashes, because they are
+    the environment's Axiom 2 bookkeeping, not station memory.
+
+    :meth:`start` returns what the fabric ticks for this hop in a run: the
+    hop itself on the object engine, a :class:`~repro.kernel.hop.HopKernel`
+    (the kernel's step loop, resumed a burst per tick) on the kernel, whose
+    state the objects only see again after :meth:`finalize_engine`.
     """
 
     def __init__(
@@ -172,16 +180,28 @@ class _LinkSimulator(Simulator):
             engine=engine,
         )
         self._trace.subscribe(self._collect, types=(ReceiveMsg,))
-        # Kernel mode: a persistent flat-state executor owns this hop's
-        # state between bursts; the object graph goes stale until
-        # finalize_engine() syncs it back at the end of the fabric run.
-        self._hop: Optional["HopKernel"] = None
+        # Kernel mode: the hop's step loop owns its state from here on;
+        # the object graph goes stale until finalize_engine().
+        self._hop: Optional[HopKernel] = None
         if engine == "kernel":
-            from repro.kernel.hop import HopKernel
-
             self._hop = HopKernel(self)
 
     # -- fabric-facing API ----------------------------------------------------------
+
+    def start(self):
+        """Return what the fabric ticks for this hop in a run.
+
+        A hop is built with :meth:`_collect` as its trace's only observer.
+        If another was subscribed since, the recording flags are re-read,
+        as :meth:`Simulator.run` does, so it sees every event class it
+        asked for; and a kernel hop, whose loop resolves its observers
+        when primed, gets a freshly primed loop (nothing has run yet).
+        """
+        if len(self._trace._observers) > 1:
+            self._read_recording_flags()
+            if self._hop is not None:
+                self._hop = HopKernel(self)
+        return self if self._hop is None else self._hop
 
     def push_frame(self, kind: bytes, seq: int) -> None:
         """Queue one frame for submission on this hop (fresh uid)."""
@@ -189,11 +209,7 @@ class _LinkSimulator(Simulator):
         self.feed.append(_encode_frame(kind, seq, self._uid))
 
     def tick(self, steps: int) -> None:
-        """Advance this hop by ``steps`` simulation steps."""
-        hop = self._hop
-        if hop is not None:
-            hop.tick(steps)
-            return
+        """Advance this object-engine hop by ``steps`` simulation steps."""
         if self._next_message is None and self.feed:
             self._advance_workload()
         for _ in range(steps):
@@ -201,10 +217,7 @@ class _LinkSimulator(Simulator):
 
     @property
     def active(self) -> bool:
-        """Does this hop have any work an idle step could progress?"""
-        hop = self._hop
-        if hop is not None:
-            return hop.active
+        """Does this object-engine hop have work an idle step could progress?"""
         return bool(
             self.feed
             or self._next_message is not None
@@ -224,26 +237,18 @@ class _LinkSimulator(Simulator):
         else:
             self._crash_receiver(None)
 
-    def wipe_feed(self) -> int:
+    def wipe_feed(self) -> None:
         """Amnesia for the origin node's outgoing queue on this hop."""
         if self._hop is not None:
-            return self._hop.wipe_feed()
-        wiped = len(self.feed) + (1 if self._next_message is not None else 0)
-        self.feed.clear()
-        self._next_message = None
-        return wiped
+            self._hop.wipe_feed()
+        else:
+            self.feed.clear()
+            self._next_message = None
 
     def finalize_engine(self) -> None:
         """Sync kernel-resident state back to the objects (no-op otherwise)."""
         if self._hop is not None:
             self._hop.finalize()
-
-    @property
-    def wire_dropped(self) -> int:
-        """Frames lost to link-down on this hop (live under either engine)."""
-        if self._hop is not None:
-            return self._hop.wire_dropped
-        return self.wire.dropped
 
     # -- Simulator overrides ---------------------------------------------------------
 
@@ -704,18 +709,18 @@ class FabricRun:
     # -- drive ------------------------------------------------------------------------
 
     def run(self) -> RunOutcome:
-        """Drive ticks until the stream is fully acknowledged or budget ends."""
+        """Drive ticks until the stream is fully acknowledged or budget ends.
+
+        Each hop starts here (:meth:`_LinkSimulator.start`), after any
+        observer of a hop's trace is subscribed, and is then ticked once
+        per fabric tick while it has work: a burst of ``steps_per_tick``
+        steps, which on the kernel engine is one resume of the hop's step
+        loop (PROTOCOL.md §17).
+        """
         spec = self.spec
         started = perf_counter()
         ack_due = False
-        # Bind each hop's executor once: the kernel object itself when the
-        # spec asks for it, the link veneer otherwise.  Both expose the
-        # same ``active``/``tick(burst)`` surface; skipping the veneer's
-        # per-tick dispatch matters at eight calls per fabric tick.
-        drivers = [
-            link._hop if link._hop is not None else link
-            for link in self.links.values()
-        ]
+        hops = [link.start() for link in self.links.values()]
         kernel_mode = spec.engine == "kernel"
         steps_per_tick = spec.steps_per_tick
         for tick in range(spec.max_ticks):
@@ -726,20 +731,15 @@ class FabricRun:
             self._apply_topology(tick)
             self._source_phase(tick)
             if kernel_mode:
-                # Inlined HopKernel.active: plain attribute reads beat a
-                # property call at eight hops per fabric tick.
-                for driver in drivers:
-                    if (
-                        driver.wire_q
-                        or driver.t_busy
-                        or driver.feed
-                        or driver.next_message is not None
-                    ):
-                        driver.tick(steps_per_tick)
+                # HopKernel.busy is what the hop's last resume reported;
+                # plain attribute reads beat a property call here.
+                for hop in hops:
+                    if hop.busy or hop.feed:
+                        hop.tick(steps_per_tick)
             else:
-                for driver in drivers:
-                    if driver.active:
-                        driver.tick(steps_per_tick)
+                for hop in hops:
+                    if hop.active:
+                        hop.tick(steps_per_tick)
             if self._drain_deliveries():
                 ack_due = True
             if ack_due:
@@ -748,10 +748,10 @@ class FabricRun:
             self._forward_phase()
         else:
             self.completed = self._base >= spec.messages
-        # Kernel hops hold their state in flat slots; sync every hop's
-        # object graph before anything (metrics aggregation, tests) reads
-        # stations, channels or wire queues.  Counted inside the wall —
-        # it is part of the kernel engine's cost.
+        # Kernel hops hold their state in their loops' frames; sync every
+        # hop's object graph before anything (metrics aggregation, tests)
+        # reads stations, channels or wire queues.  Counted inside the
+        # wall — it is part of the kernel engine's cost.
         for link in self.links.values():
             link.finalize_engine()
         wall = perf_counter() - started
@@ -789,7 +789,7 @@ class FabricRun:
     def dropped_down(self) -> int:
         """Frames lost to link-down wires (announced while down or purged
         in flight), summed over every directed hop."""
-        return sum(link.wire_dropped for link in self.links.values())
+        return sum(link.wire.dropped for link in self.links.values())
 
     def drop_report(self) -> str:
         """One-line drop accounting to accompany :meth:`verdict`."""

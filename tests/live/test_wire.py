@@ -147,37 +147,6 @@ def test_pooled_sends_return_every_buffer(use_mmsg):
     assert pool.allocated <= pool.max_free + pool.high_water
 
 
-@pytest.mark.parametrize("use_mmsg", _MODES)
-def test_connected_mode_pins_the_peer(use_mmsg):
-    async def scenario():
-        got = []
-        rx = BatchedDatagramIO(lambda view: got.append(bytes(view)),
-                               use_mmsg=use_mmsg)
-        tx = BatchedDatagramIO(lambda view: None, use_mmsg=use_mmsg)
-        await rx.open()
-        await tx.open()
-        dest = rx.local_address
-        tx.connect(dest)
-        for i in range(50):
-            tx.send(b"c%02d" % i, dest)
-        with pytest.raises(ValueError):
-            tx.send(b"stray", ("127.0.0.1", 1))
-        pool_buf = tx.pool.acquire(8)
-        with pytest.raises(ValueError):
-            tx.send_pooled(pool_buf, 4, ("127.0.0.1", 1))
-        outstanding = tx.pool.outstanding  # rejected buffer was released
-        for _ in range(40):
-            await _idle(0.01)
-            if len(got) == 50:
-                break
-        tx.close()
-        rx.close()
-        return got, outstanding
-
-    got, outstanding = asyncio.run(scenario())
-    assert got == [b"c%02d" % i for i in range(50)]
-    assert outstanding == 0
-
 
 def test_use_mmsg_flag_is_explicit():
     io = BatchedDatagramIO(lambda view: None, use_mmsg=False)

@@ -11,8 +11,21 @@ scripted topology faults.  Any divergence is a kernel bug by definition.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.events import (
+    CrashR,
+    CrashT,
+    Ok,
+    PktDelivered,
+    PktSent,
+    ReceiveMsg,
+    Retry,
+    SendMsg,
+)
+from repro.kernel.engine import _extract_receiver, _extract_transmitter
 from repro.resilience.faultplan import (
     LinkDownWindow,
     RelayCrashAt,
@@ -123,3 +136,161 @@ class TestStripedDifferential:
     def test_two_path_ring_under_link_faults(self):
         events = (LinkDownWindow(start=5, end=30, link=(0, 1)),)
         _assert_engines_match("ring", 6, events, paths=2)
+
+
+# -- per-hop observability and state -------------------------------------------
+
+ENGINES = ("object", "kernel")
+
+#: Every event class a hop's trace records.
+HOP_EVENTS = (SendMsg, ReceiveMsg, Ok, CrashT, CrashR, PktSent, PktDelivered, Retry)
+
+#: The fault scripts of the cases above, per topology.
+_SCRIPTS = {
+    "clean": lambda topology: (),
+    "link_down": lambda topology: (
+        LinkDownWindow(start=5, end=25, link=_EDGE[topology]),
+    ),
+    "relay_crash": lambda topology: (
+        RelayCrashAt(step=10, node=_RELAY[topology]),
+    ),
+    "route_flap": lambda topology: (RouteFlapAt(step=8),),
+}
+
+
+def _observed_hops(spec: FabricSpec, events, seed: int):
+    """Run with one observer subscribed to every hop's trace after
+    ``FabricRun(...)`` and before ``run()``; return the run and, per hop,
+    the ``(index, event)`` pairs its observer saw."""
+    run = FabricRun(spec, events, seed)
+    seen = {}
+    for key, link in run.links.items():
+        pairs = seen[key] = []
+        link.trace.subscribe(
+            lambda index, event, pairs=pairs: pairs.append((index, event))
+        )
+    run.run()
+    return run, seen
+
+
+def _assert_observers_see_every_hop_event(topology, size, events, **overrides):
+    overrides.setdefault("messages", 12)
+    for seed in SEEDS:
+        observed = {}
+        for engine in ENGINES:
+            spec = FabricSpec(
+                topology=topology, size=size, engine=engine, **overrides
+            )
+            run, seen = _observed_hops(spec, events, seed)
+            for key, link in run.links.items():
+                trace = link.trace
+                pairs = seen[key]
+                where = f"{engine} hop {key} seed {seed}"
+                assert [index for index, _ in pairs] == list(
+                    range(trace.total_events)
+                ), where
+                counts = Counter(type(event) for _, event in pairs)
+                assert {cls: counts[cls] for cls in HOP_EVENTS} == {
+                    cls: trace.count(cls) for cls in HOP_EVENTS
+                }, where
+            observed[engine] = seen
+        assert observed["kernel"] == observed["object"], (
+            f"hop observers diverge: topology={topology} seed={seed}"
+        )
+
+
+class TestHopObservers:
+    """An observer subscribed to a hop's trace before ``run()`` sees every
+    event of that hop, and the same ``(index, event)`` pairs on both
+    engines: the hop's recording flags and (on the kernel) its loop's
+    observers are settled when the fabric run starts, not when the hop is
+    built."""
+
+    @pytest.mark.parametrize("script", tuple(_SCRIPTS))
+    @pytest.mark.parametrize("topology,size", TOPOLOGIES)
+    def test_observer_sees_every_hop_event(self, topology, size, script):
+        _assert_observers_see_every_hop_event(
+            topology, size, _SCRIPTS[script](topology)
+        )
+
+    def test_lossy_line_with_relay_crash(self):
+        # Lossy links plus amnesia: every packet, delivery and RETRY event
+        # (which the object engine tallied unseen when the recording flags
+        # were read at construction) reaches the observer.
+        events = (RelayCrashAt(step=30, node=1),)
+        _assert_observers_see_every_hop_event(
+            "line", 3, events, messages=20, fail_rate=0.05
+        )
+        run, seen = _observed_hops(
+            FabricSpec(topology="line", size=3, messages=20, fail_rate=0.05,
+                       engine="kernel"),
+            events,
+            7,
+        )
+        classes = Counter(type(e) for pairs in seen.values() for _, e in pairs)
+        assert all(classes[cls] for cls in (PktSent, PktDelivered, Retry))
+        assert sum(classes.values()) == sum(
+            link.trace.total_events for link in run.links.values()
+        )
+
+
+def _hop_state(link):
+    """Everything one hop's objects hold once the fabric run is over."""
+    channels = []
+    for channel in (link.channels.t_to_r, link.channels.r_to_t):
+        channels.append((
+            tuple(
+                (pid, channel.peek(pid), channel.packet_length_bits(pid))
+                for pid in channel.all_packet_ids()
+            ),
+            channel.sent_count,
+            channel.delivered_count,
+            channel.bits_sent,
+        ))
+    return {
+        "transmitter": _extract_transmitter(link._transmitter),
+        "receiver": _extract_receiver(link._receiver),
+        "bits_drawn": (
+            link._transmitter._rng._bits_drawn,
+            link._receiver._rng._bits_drawn,
+        ),
+        "channels": channels,
+        "wire": (tuple(link.wire._queue), link.wire.dropped),
+        "steps": link.steps_taken,
+        "counts": tuple(link.trace.count(cls) for cls in HOP_EVENTS),
+    }
+
+
+class TestHopStateDifferential:
+    """Every hop's objects read the same on both engines after a run:
+    stations, tapes, channel stores and counters, the wire and the trace
+    counters -- not just the aggregates ``_fingerprint`` compares."""
+
+    CASES = (
+        ("line", 4, (RelayCrashAt(step=10, node=1),), {}),
+        (
+            "ring",
+            6,
+            (LinkDownWindow(start=5, end=25, link=(0, 1)), RouteFlapAt(step=8)),
+            {},
+        ),
+        ("mesh", 3, (RelayCrashAt(step=10, node=(0, 1)),), {}),
+        ("ring", 8, (), {"paths": 2}),
+    )
+
+    @pytest.mark.parametrize("seed", (0, 1, 7, 42))
+    @pytest.mark.parametrize("topology,size,events,overrides", CASES)
+    def test_every_hop_matches(self, topology, size, events, overrides, seed):
+        states = {}
+        for engine in ENGINES:
+            spec = FabricSpec(
+                topology=topology, size=size, messages=12, engine=engine,
+                **overrides,
+            )
+            run = FabricRun(spec, events, seed)
+            run.run()
+            states[engine] = {
+                key: _hop_state(link) for key, link in run.links.items()
+            }
+        for key, state in states["object"].items():
+            assert states["kernel"][key] == state, f"hop {key} diverges"
