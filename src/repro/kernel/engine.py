@@ -25,11 +25,11 @@ Python ints and small preallocated containers:
   ``ReliableAdversary``/``RandomFaultAdversary``) mirror the coin
   schedule and pending-queue bookkeeping move-for-move with flat state;
   the relay fabric's hop wire (a FIFO gated by its link's up flag) is a
-  fifth, with an idle fast-forward.  Every other adversary runs in
-  generic mode: the real object hears every ``new_pkt`` and decides each
-  move at the loop's one adversary-dispatch site, and its deliver,
-  crash, RETRY and corrupt moves drive the same inline station code the
-  precompiled modes run.
+  fifth, whose idle steps are skipped or batched.  Every other adversary
+  runs in generic mode: the real object hears every ``new_pkt`` and
+  decides each move at the loop's one adversary-dispatch site, and its
+  deliver, crash, RETRY and corrupt moves drive the same inline station
+  code the precompiled modes run.
 * **Generator-held state** — the loop is a generator, so all of the
   above survives in its frame between bursts: ``send(n)`` runs up to
   ``n`` steps and the fabric resumes a hop once per tick for nothing
@@ -363,7 +363,8 @@ def step_loop(sim, feed=None, gate=None):
     observers allow it: the loop calls the monitors' bound handlers (when
     the run's ``StreamingChecks`` is the only observer) or the subscribed
     observers (when the run has no checks) itself, and the trace counters
-    and checker bookkeeping are settled at :data:`SYNC`.
+    and checker bookkeeping are settled at :data:`SYNC` (an observer
+    reading them mid-run sees the last sync's values).
 
     Only the GHM stations have a flat mirror, and the kernel never calls a
     station method in the loop, so any other station class (a baseline
@@ -450,10 +451,13 @@ def step_loop(sim, feed=None, gate=None):
     # checker.  ``h_send is None`` means "no fast path" and every site
     # falls back to ``trace.append`` (full/tail retention, an observer
     # beside the checker, generic mode).  The packet and retry handlers
-    # stay None unless recorded; their counts are settled at sync from the
-    # same deltas the untraced tallies use.
+    # stay None unless recorded.  The settled counts are the ``n_*`` below
+    # and, for packets, the channel deltas the untraced tallies use; both
+    # move before the handlers run (Trace.append too counts before it
+    # notifies), so a handler that raises leaves them summing to the total.
     h_send = h_recv = h_ok = h_ct = h_cr = None
     h_psent = h_pdel = h_retry = None
+    n_send = n_recv = n_ok = n_ct = n_cr = n_retry = 0
     timed = False
     stride = _TIMED_STRIDE
     ev_total = samples = seen_off = 0
@@ -496,17 +500,21 @@ def step_loop(sim, feed=None, gate=None):
                 samples = checks._timed_samples
                 sampled = checks._sampled_seconds
 
-    # Metrics mirrors.  Each counts one event class; the baselines turn
-    # them into the event counts a direct dispatch settles at sync.
-    m_submitted = m_submitted0 = metrics.messages_submitted
-    m_ok = m_ok0 = metrics.messages_ok
-    m_delivered = m_delivered0 = metrics.messages_delivered
+    # Metrics mirrors, bumped after an event's dispatch as the object
+    # engine bumps them after Trace.append.  The retries baseline turns
+    # into the untraced Retry tally at sync.
+    m_submitted = metrics.messages_submitted
+    m_ok = metrics.messages_ok
+    m_delivered = metrics.messages_delivered
     m_retries = m_retries0 = metrics.retries
-    m_crash_t = m_crash_t0 = metrics.crashes_t
-    m_crash_r = m_crash_r0 = metrics.crashes_r
+    m_crash_t = metrics.crashes_t
+    m_crash_r = metrics.crashes_r
     storage_peak = metrics._storage_peak
     keep_samples = metrics._keep_storage_samples
     samples_append = metrics._storage_samples.append
+    # With nothing recorded per step (packet or retry events, storage
+    # samples), an idle wire burst is applied at once (see the loop).
+    untraced = not (rec_sent or rec_deliv or rec_retry or keep_samples)
 
     # Simulator loop slots.
     steps = sim._steps
@@ -681,6 +689,66 @@ def step_loop(sim, feed=None, gate=None):
                     if wire and not rel_pend and (
                         t_busy or next_message is None
                     ):
+                        if not t_busy and untraced:
+                            # Idle to the end of the burst: nothing is
+                            # queued and nothing is left to submit (the
+                            # feed refills only between bursts), so each
+                            # RETRY poll crosses the wire alone, meets
+                            # the idle transmitter and draws nothing, and
+                            # no nonce moves.  Apply the burst's polls
+                            # and storage samples (the peak) at once.
+                            if retry_at <= stop:
+                                k = (stop - retry_at) // retry_every + 1
+                                retry_at += k * retry_every
+                                m_retries += k
+                                rs_sent += k
+                                rt_sent += k
+                                rt_bits += k * poll_len
+                                for pid in range(rt_next, rt_next + k):
+                                    rt_store[pid] = (
+                                        r_rho_v, r_rho_l, r_tau_v, r_tau_l,
+                                        r_i,
+                                    )
+                                    r_i += 1
+                                rt_next += k
+                                if not up:
+                                    wire_dropped += k
+                                else:
+                                    rt_deliv += k
+                                    # The transmitter takes a poll that
+                                    # extends its tau and carries a new
+                                    # retry index; the indexes count up,
+                                    # so only the first few can be stale.
+                                    taken = 0
+                                    if (
+                                        t_tau_l <= r_tau_l
+                                        and (r_tau_v >> (r_tau_l - t_tau_l))
+                                        == t_tau_v
+                                        and t_iseen < r_i - 1
+                                    ):
+                                        taken = r_i - 1 - t_iseen
+                                        if taken > k:
+                                            taken = k
+                                        t_rnv = r_rho_v
+                                        t_rnl = r_rho_l
+                                        t_iseen = r_i - 1
+                                    ts_ign += k - taken
+                            if 0 < sample_at <= stop:
+                                sample_at += (
+                                    (stop - sample_at) // storage_sample_every
+                                    + 1
+                                ) * storage_sample_every
+                                bits_now = (
+                                    t_tau_l
+                                    + (t_ptau_l if t_ptau_l > 0 else 0)
+                                    + r_rho_l
+                                    + r_tau_l
+                                    + (r_prl if r_prl > 0 else 0)
+                                )
+                                if bits_now > storage_peak:
+                                    storage_peak = bits_now
+                            steps = stop
+                            break
                         # Idle fast-forward: a wire step with nothing
                         # queued and nothing to submit does nothing
                         # until a cadence fires (no packet, no draw, no
@@ -720,6 +788,7 @@ def step_loop(sim, feed=None, gate=None):
                             ev = mk_send(message)
                             idx = ev_total
                             ev_total = idx + 1
+                            n_send += 1
                             if timed and (idx + seen_off) % stride == 1:
                                 _t0 = pc()
                                 for h in h_send:
@@ -731,6 +800,7 @@ def step_loop(sim, feed=None, gate=None):
                                     h(idx, ev)
                         else:
                             ev_total += 1
+                            n_send += 1
                         m_submitted += 1
                         if not isinstance(message, bytes):
                             raise TypeError("messages must be bytes")
@@ -803,6 +873,7 @@ def step_loop(sim, feed=None, gate=None):
                             else:
                                 idx = ev_total
                                 ev_total = idx + 1
+                                n_retry += 1
                                 if timed and (idx + seen_off) % stride == 1:
                                     _t0 = pc()
                                     for h in h_retry:
@@ -1120,6 +1191,7 @@ def step_loop(sim, feed=None, gate=None):
                                     ev = mk_recv(message)
                                     idx = ev_total
                                     ev_total = idx + 1
+                                    n_recv += 1
                                     if timed and (idx + seen_off) % stride == 1:
                                         _t0 = pc()
                                         for h in h_recv:
@@ -1131,6 +1203,7 @@ def step_loop(sim, feed=None, gate=None):
                                             h(idx, ev)
                                 else:
                                     ev_total += 1
+                                    n_recv += 1
                                 m_delivered += 1
                         elif prl_ == r_rho_l and not (
                             r_prl >= 0 and prl_ == r_prl and prv_ == r_prv
@@ -1196,6 +1269,7 @@ def step_loop(sim, feed=None, gate=None):
                                 elif h_ok:
                                     idx = ev_total
                                     ev_total = idx + 1
+                                    n_ok += 1
                                     if timed and (idx + seen_off) % stride == 1:
                                         _t0 = pc()
                                         for h in h_ok:
@@ -1207,6 +1281,7 @@ def step_loop(sim, feed=None, gate=None):
                                             h(idx, EV_OK)
                                 else:
                                     ev_total += 1
+                                    n_ok += 1
                                 m_ok += 1
                             else:
                                 if ptl == t_tau_l and not (
@@ -1306,6 +1381,7 @@ def step_loop(sim, feed=None, gate=None):
                     elif h_ct:
                         idx = ev_total
                         ev_total = idx + 1
+                        n_ct += 1
                         if timed and (idx + seen_off) % stride == 1:
                             _t0 = pc()
                             for h in h_ct:
@@ -1317,6 +1393,7 @@ def step_loop(sim, feed=None, gate=None):
                                 h(idx, EV_CT)
                     else:
                         ev_total += 1
+                        n_ct += 1
                     m_crash_t += 1
                     t_busy = False
                     t_msg = None
@@ -1339,6 +1416,7 @@ def step_loop(sim, feed=None, gate=None):
                     elif h_cr:
                         idx = ev_total
                         ev_total = idx + 1
+                        n_cr += 1
                         if timed and (idx + seen_off) % stride == 1:
                             _t0 = pc()
                             for h in h_cr:
@@ -1350,6 +1428,7 @@ def step_loop(sim, feed=None, gate=None):
                                 h(idx, EV_CR)
                     else:
                         ev_total += 1
+                        n_cr += 1
                     m_crash_r += 1
                     r_kk = 1
                     r_gen = 1
@@ -1488,28 +1567,15 @@ def step_loop(sim, feed=None, gate=None):
         sim._storage_countdown = sample_at - steps if sample_at > 0 else 0
         sim._next_message = next_message
         sim._workload_exhausted = workload_exhausted
-        # Event counts are the channel/metric deltas: tallied when
-        # unrecorded, settled below when dispatched directly.
-        counted = (
-            (SendMsg, m_submitted - m_submitted0),
-            (ReceiveMsg, m_delivered - m_delivered0),
-            (Ok, m_ok - m_ok0),
-            (CrashT, m_crash_t - m_crash_t0),
-            (CrashR, m_crash_r - m_crash_r0),
-        )
+        # Packet counts are the channel deltas: tallied when unrecorded,
+        # settled below when dispatched directly.  Unrecorded retries are
+        # tallied from the metric delta.
         n_psent = (tr_sent - tr_sent0) + (rt_sent - rt_sent0)
         n_pdel = (tr_deliv - tr_deliv0) + (rt_deliv - rt_deliv0)
-        n_retry = m_retries - m_retries0
         tr_sent0 = tr_sent
         rt_sent0 = rt_sent
         tr_deliv0 = tr_deliv
         rt_deliv0 = rt_deliv
-        m_submitted0 = m_submitted
-        m_delivered0 = m_delivered
-        m_ok0 = m_ok
-        m_crash_t0 = m_crash_t
-        m_crash_r0 = m_crash_r
-        m_retries0 = m_retries
         if not rec_sent:
             sim._pkt_sent_tally += n_psent
             n_psent = 0
@@ -1517,8 +1583,8 @@ def step_loop(sim, feed=None, gate=None):
             sim._pkt_delivered_tally += n_pdel
             n_pdel = 0
         if not rec_retry:
-            sim._retry_tally += n_retry
-            n_retry = 0
+            sim._retry_tally += m_retries - m_retries0
+        m_retries0 = m_retries
 
         if h_send is not None:
             # Settle the trace counters and checker bookkeeping the bypassed
@@ -1528,7 +1594,12 @@ def step_loop(sim, feed=None, gate=None):
             trace._dropped = ev_total
             counts = trace._counts
             fresh = False
-            for cls, n in counted + (
+            for cls, n in (
+                (SendMsg, n_send),
+                (ReceiveMsg, n_recv),
+                (Ok, n_ok),
+                (CrashT, n_ct),
+                (CrashR, n_cr),
                 (PktSent, n_psent),
                 (PktDelivered, n_pdel),
                 (Retry, n_retry),
@@ -1541,6 +1612,7 @@ def step_loop(sim, feed=None, gate=None):
                         fresh = True
             if fresh:
                 trace._query_cache.clear()
+            n_send = n_recv = n_ok = n_ct = n_cr = n_retry = 0
             if checks is not None:
                 checks.events_seen = ev_total + seen_off - 1
                 checks._timed_samples = samples

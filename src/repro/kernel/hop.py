@@ -29,12 +29,14 @@ __all__ = ["HopKernel"]
 class HopKernel:
     """One installed ``_LinkSimulator``'s step loop, bound for the fabric.
 
-    Build it when the fabric run starts (after every observer of the hop's
-    trace is subscribed): from then on the loop's frame is the truth and
-    the hop's objects are stale until :meth:`finalize`.  ``busy`` is what
-    the last resume reported (transmitter busy, a frame pending, a packet
-    on the wire); with a non-empty ``feed`` it says whether an idle step
-    could progress the hop.
+    The hop builds it at construction, which primes the loop: from then
+    on the loop's frame is the truth and the hop's objects are stale
+    until :meth:`finalize`.  Priming resolves the trace's observers, so
+    ``_LinkSimulator.start()`` builds a fresh one when an observer was
+    subscribed after construction (nothing has run by then).  ``busy`` is
+    what the last resume reported (transmitter busy, a frame pending, a
+    packet on the wire); with a non-empty ``feed`` it says whether an idle
+    step could progress the hop.
     """
 
     __slots__ = ("feed", "busy", "_resume")

@@ -191,12 +191,14 @@ class _LinkSimulator(Simulator):
     def start(self):
         """Return what the fabric ticks for this hop in a run.
 
-        A hop is built with :meth:`_collect` as its trace's only observer.
-        If another was subscribed since, the recording flags are re-read,
-        as :meth:`Simulator.run` does, so it sees every event class it
-        asked for; and a kernel hop, whose loop resolves its observers
-        when primed, gets a freshly primed loop (nothing has run yet).
+        If an observer was subscribed to the hop's trace since it was
+        built, the recording flags are re-read, as :meth:`Simulator.run`
+        does, so it sees every event class it asked for; and a kernel hop,
+        whose loop resolves its observers when primed, gets a freshly
+        primed loop (nothing has run yet).
         """
+        # __init__ subscribes _collect and nothing else, so a second
+        # observer is one subscribed since.
         if len(self._trace._observers) > 1:
             self._read_recording_flags()
             if self._hop is not None:

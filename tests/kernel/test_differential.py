@@ -43,7 +43,17 @@ from repro.baselines import (
     make_stop_and_wait_link,
 )
 from repro.checkers.streaming import StreamingChecks
-from repro.core.events import ChannelId
+from repro.core.events import (
+    ChannelId,
+    CrashR,
+    CrashT,
+    Ok,
+    PktDelivered,
+    PktSent,
+    ReceiveMsg,
+    Retry,
+    SendMsg,
+)
 from repro.core.exceptions import (
     ConfigurationError,
     SimulationError,
@@ -690,3 +700,64 @@ class TestStationGuard:
             )
             snapshots.append(snapshot(run_once(spec, seed)))
         assert snapshots[0] == snapshots[1]
+
+
+class _ObserverFault(Exception):
+    """What the raising observer below throws."""
+
+
+#: Every event class a GHM run without corruption records.
+_RUN_EVENTS = (
+    SendMsg, ReceiveMsg, Ok, CrashT, CrashR, PktSent, PktDelivered, Retry,
+)
+
+
+class TestRaisingObserver:
+    """An observer that raises mid-run leaves both engines alike.
+
+    Under ``retain="none"`` with no checks the kernel calls a subscribed
+    observer itself; when one raises, the trace still counts the event in
+    flight (``Trace.append`` counts before it notifies), so the per-class
+    counts sum to the total, and the metrics, like the object engine's,
+    do not count it yet.
+    """
+
+    @pytest.mark.parametrize("raise_on", _RUN_EVENTS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("seed", SEEDS[:3])
+    def test_counts_stay_consistent(self, raise_on, seed):
+        views = []
+        for engine in ENGINES:
+            simulator = Simulator(
+                make_data_link(epsilon=2.0 ** -8, seed=seed),
+                RandomFaultAdversary(
+                    FaultProfile(loss=0.1, crash_t=0.05, crash_r=0.05)
+                ),
+                SequentialWorkload(25),
+                seed=seed,
+                retain="none",
+                engine=engine,
+            )
+            seen = []
+
+            def observer(index, event, seen=seen):
+                seen.append((index, event))
+                if len(seen) > 10 and type(event) is raise_on:
+                    raise _ObserverFault
+
+            simulator.trace.subscribe(observer)
+            with pytest.raises(_ObserverFault):
+                simulator.run()
+            trace = simulator.trace
+            counts = tuple(trace.count(cls) for cls in _RUN_EVENTS)
+            assert sum(counts) == trace.total_events, engine
+            metrics = simulator._metrics
+            views.append((
+                seen,
+                counts,
+                trace.total_events,
+                simulator.steps_taken,
+                (metrics.messages_submitted, metrics.messages_ok,
+                 metrics.messages_delivered, metrics.retries,
+                 metrics.crashes_t, metrics.crashes_r),
+            ))
+        assert views[0] == views[1]

@@ -11,6 +11,7 @@ scripted topology faults.  Any divergence is a kernel bug by definition.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -31,7 +32,13 @@ from repro.resilience.faultplan import (
     RelayCrashAt,
     RouteFlapAt,
 )
-from repro.transport.fabric import FabricRun, FabricSpec
+from repro.transport.fabric import (
+    FabricRun,
+    FabricSpec,
+    _LinkAdversary,
+    _LinkSimulator,
+)
+from repro.transport.network import LinkState
 
 SEEDS = (0, 1, 7, 42, 1234)
 
@@ -236,6 +243,7 @@ class TestHopObservers:
 
 def _hop_state(link):
     """Everything one hop's objects hold once the fabric run is over."""
+    metrics = link._metrics
     channels = []
     for channel in (link.channels.t_to_r, link.channels.r_to_t):
         channels.append((
@@ -257,6 +265,15 @@ def _hop_state(link):
         "channels": channels,
         "wire": (tuple(link.wire._queue), link.wire.dropped),
         "steps": link.steps_taken,
+        "metrics": (
+            metrics.messages_submitted,
+            metrics.messages_ok,
+            metrics.messages_delivered,
+            metrics.retries,
+            metrics.crashes_t,
+            metrics.crashes_r,
+            metrics._storage_peak,
+        ),
         "counts": tuple(link.trace.count(cls) for cls in HOP_EVENTS),
     }
 
@@ -281,16 +298,121 @@ class TestHopStateDifferential:
     @pytest.mark.parametrize("seed", (0, 1, 7, 42))
     @pytest.mark.parametrize("topology,size,events,overrides", CASES)
     def test_every_hop_matches(self, topology, size, events, overrides, seed):
-        states = {}
-        for engine in ENGINES:
-            spec = FabricSpec(
-                topology=topology, size=size, messages=12, engine=engine,
-                **overrides,
-            )
-            run = FabricRun(spec, events, seed)
-            run.run()
-            states[engine] = {
-                key: _hop_state(link) for key, link in run.links.items()
-            }
-        for key, state in states["object"].items():
-            assert states["kernel"][key] == state, f"hop {key} diverges"
+        _assert_every_hop_matches(
+            topology, size, events, seed, messages=12, **overrides
+        )
+
+
+def _assert_every_hop_matches(topology, size, events, seed, **overrides):
+    states = {}
+    for engine in ENGINES:
+        spec = FabricSpec(
+            topology=topology, size=size, engine=engine, **overrides
+        )
+        run = FabricRun(spec, events, seed)
+        run.run()
+        states[engine] = {
+            key: _hop_state(link) for key, link in run.links.items()
+        }
+    for key, state in states["object"].items():
+        assert states["kernel"][key] == state, f"hop {key} diverges"
+
+
+# -- bursts longer than the RETRY period ---------------------------------------
+
+
+def _hop_script(seed: int):
+    """A random schedule of everything the fabric does to one hop."""
+    rng = random.Random(seed)
+    script = []
+    for _ in range(120):
+        roll = rng.random()
+        if roll < 0.25:
+            script.append(("push", rng.randint(1, 4)))
+        elif roll < 0.8:
+            script.append(("tick", rng.choice((1, 2, 3, 5, 8, 16, 33, 64))))
+        elif roll < 0.9:
+            script.append(("up", rng.random() < 0.6))
+        else:
+            script.append((rng.choice(("crash_t", "crash_r", "wipe")), None))
+    return script
+
+
+def _drive_hop(engine: str, seed: int, script):
+    """Apply ``script`` to a fresh hop; return its state after each step."""
+    state = LinkState()
+    link = _LinkSimulator(
+        wire=_LinkAdversary(state),
+        seed=seed,
+        epsilon=2.0 ** -12,
+        retry_every=4,
+        engine=engine,
+    )
+    hop = link.start()
+    frames = 0
+    states = []
+    for op, arg in script:
+        if op == "push":
+            for _ in range(arg):
+                link.push_frame(b"D", frames)
+                frames += 1
+        elif op == "tick":
+            hop.tick(arg)
+        elif op == "up":
+            state.up = arg
+        elif op == "crash_t":
+            link.crash_transmitter_station()
+        elif op == "crash_r":
+            link.crash_receiver_station()
+        else:
+            link.wipe_feed()
+        link.finalize_engine()
+        states.append((_hop_state(link), tuple(link.delivered)))
+    return states
+
+
+class TestHopBursts:
+    """Bursts that outlast the RETRY period read the same on both engines.
+
+    A hop that goes idle inside such a burst takes the burst's remaining
+    RETRY polls at once on the kernel, on an up and on a down wire.  The
+    scripted hop is ticked whether or not it has work (the fabric skips
+    idle hops), with frames, link flaps, crashes and wipes in between.
+    """
+
+    LONG = (
+        (
+            "line",
+            4,
+            (RelayCrashAt(step=3, node=1),),
+            {"steps_per_tick": 64, "window": 32, "messages": 40},
+        ),
+        (
+            "ring",
+            6,
+            (LinkDownWindow(start=2, end=9, link=(0, 1)), RouteFlapAt(step=4)),
+            {"steps_per_tick": 7, "messages": 20},
+        ),
+        (
+            "mesh",
+            3,
+            (RelayCrashAt(step=5, node=(0, 1)),),
+            {"steps_per_tick": 13, "fail_rate": 0.05, "messages": 20},
+        ),
+    )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scripted_hop(self, seed):
+        script = _hop_script(seed)
+        kernel = _drive_hop("kernel", seed, script)
+        for i, state in enumerate(_drive_hop("object", seed, script)):
+            assert kernel[i] == state, f"diverges at {script[i]} (op {i})"
+
+    @pytest.mark.parametrize("seed", (0, 7, 42))
+    @pytest.mark.parametrize("topology,size,events,overrides", LONG)
+    def test_every_hop_matches(self, topology, size, events, overrides, seed):
+        _assert_every_hop_matches(topology, size, events, seed, **overrides)
+
+    @pytest.mark.parametrize("topology,size,events,overrides", LONG)
+    def test_engines_identical(self, topology, size, events, overrides):
+        _assert_engines_match(topology, size, events, **overrides)
