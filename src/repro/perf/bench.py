@@ -672,7 +672,10 @@ def _bench_relay(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
     return stats
 
 
-_RELAY_KERNEL_PAIRS = 5
+#: Pairs timed per leg.  A quick kernel run lasts ~1.4 ms, so one pair's
+#: ratio swings with the host; over 5 pairs the median still read from
+#: 3.7 to 5.0 on a shared 2-vCPU host, over 21 from 4.4 to 4.7.
+_RELAY_KERNEL_PAIRS = 21
 
 
 def _relay_kernel_leg_run(engine: str, messages: int, seed: int):

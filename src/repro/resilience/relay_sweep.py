@@ -12,7 +12,12 @@ Each cell reports delivery rate (messages delivered over messages
 submitted, pooled over runs), completion and CLEAN rates, convergence
 percentiles (p50/p99 fabric ticks to stream completion, over completed
 runs), and the split drop accounting (``dropped_overflow`` vs
-``dropped_down``).  :meth:`RelaySweepResult.render` prints the grid;
+``dropped_down``).  Beside them it sets the connectivity yardstick: R,
+the exact source–destination reliability at the links' stationary
+up-probability (:mod:`repro.analysis.reliability`), and the efficiency
+(fault-free ticks p50 ÷ R) ÷ ticks p50, which reads 1 when a stream is
+slowed by no more than the share of ticks its network is cut.
+:meth:`RelaySweepResult.render` prints the grid;
 :meth:`RelaySweepResult.to_markdown` emits the EXPERIMENTS.md table.
 """
 
@@ -21,6 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.reliability import (
+    MAX_LINKS,
+    reliability,
+    stationary_up_probability,
+)
 from repro.core.exceptions import ConfigurationError
 from repro.resilience.supervisor import (
     CampaignConfig,
@@ -110,11 +120,11 @@ class SweepCell:
     ticks_p99: float  # tail fabric ticks to completion (completed runs)
     dropped_overflow: int
     dropped_down: int
+    # R at the links' stationary up-probability; None past MAX_LINKS links.
+    reliability: Optional[float]
 
     @classmethod
-    def from_campaign(
-        cls, topology: str, size: int, fail_rate: float, result: CampaignResult
-    ) -> "SweepCell":
+    def from_campaign(cls, spec: FabricSpec, result: CampaignResult) -> "SweepCell":
         submitted = delivered = 0
         for report in result.data_reports:
             if report.metrics is not None:
@@ -128,10 +138,17 @@ class SweepCell:
             for r in result.reports
             if r.status.value == "ok" and r.liveness_passed
         )
+        network = spec.build_network()
+        connectivity = None
+        if network.edge_count <= MAX_LINKS:
+            connectivity = reliability(
+                network,
+                stationary_up_probability(spec.fail_rate, spec.repair_rate),
+            )
         return cls(
-            topology=topology,
-            size=size,
-            fail_rate=fail_rate,
+            topology=spec.topology,
+            size=spec.size,
+            fail_rate=spec.fail_rate,
             runs=result.runs,
             delivery_rate=(delivered / submitted) if submitted else 0.0,
             completion_rate=result.completion_rate,
@@ -140,6 +157,7 @@ class SweepCell:
             ticks_p99=percentile(completed_ticks, 0.99),
             dropped_overflow=result.dropped_overflow,
             dropped_down=result.dropped_down,
+            reliability=connectivity,
         )
 
 
@@ -152,12 +170,14 @@ _HEADERS = [
     "clean",
     "ticks p50",
     "ticks p99",
+    "R",
+    "efficiency",
     "drop ovf",
     "drop down",
 ]
 
 
-def _cell_row(cell: SweepCell) -> List[object]:
+def _cell_row(cell: SweepCell, efficiency: Optional[float]) -> List[object]:
     return [
         f"{cell.topology}-{cell.size}",
         f"{cell.fail_rate:g}",
@@ -167,6 +187,8 @@ def _cell_row(cell: SweepCell) -> List[object]:
         f"{cell.clean_rate:.1%}",
         f"{cell.ticks_p50:.0f}",
         f"{cell.ticks_p99:.0f}",
+        "-" if cell.reliability is None else f"{cell.reliability:.3f}",
+        "-" if efficiency is None else f"{efficiency:.2f}",
         cell.dropped_overflow,
         cell.dropped_down,
     ]
@@ -181,11 +203,29 @@ class RelaySweepResult:
     wall_seconds: float = 0.0
     campaigns: Tuple[CampaignResult, ...] = field(repr=False, default=())
 
+    def efficiency(self, cell: SweepCell) -> Optional[float]:
+        """(fault-free ticks p50 ÷ R) ÷ ticks p50 for ``cell``, or None when
+        the grid has no fault-free cell of its topology with a p50 to
+        compare, when R is unknown, or when no run of ``cell`` completed."""
+        if not cell.reliability or not cell.ticks_p50:
+            return None
+        for free in self.cells:
+            if (
+                free.topology == cell.topology
+                and free.fail_rate == 0.0
+                and free.ticks_p50
+            ):
+                return free.ticks_p50 / cell.reliability / cell.ticks_p50
+        return None
+
+    def _rows(self) -> List[List[object]]:
+        return [_cell_row(cell, self.efficiency(cell)) for cell in self.cells]
+
     def render(self) -> str:
         """The sweep grid as one aligned table."""
         table = render_table(
             _HEADERS,
-            [_cell_row(cell) for cell in self.cells],
+            self._rows(),
             title=(
                 f"relay sweep ({self.config.engine} engine, "
                 f"{self.config.runs} runs/cell, "
@@ -200,10 +240,8 @@ class RelaySweepResult:
             "| " + " | ".join(_HEADERS) + " |",
             "|" + "|".join("---" for _ in _HEADERS) + "|",
         ]
-        for cell in self.cells:
-            lines.append(
-                "| " + " | ".join(str(v) for v in _cell_row(cell)) + " |"
-            )
+        for row in self._rows():
+            lines.append("| " + " | ".join(str(v) for v in row) + " |")
         return "\n".join(lines)
 
 
@@ -229,7 +267,6 @@ def run_relay_sweep(
     started = monotonic()
     index = 0
     for topology in config.topologies:
-        size = config.size_for(topology)
         for fail_rate in config.fail_rates:
             spec = config.spec_for(topology, fail_rate)
             result = run_campaign(
@@ -238,9 +275,7 @@ def run_relay_sweep(
                 base_seed=config.base_seed + index * config.runs,
                 config=campaign,
             )
-            cells.append(
-                SweepCell.from_campaign(topology, size, fail_rate, result)
-            )
+            cells.append(SweepCell.from_campaign(spec, result))
             if keep_campaigns:
                 results.append(result)
             index += 1

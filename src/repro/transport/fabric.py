@@ -10,10 +10,11 @@ operational scenario family:
   per-link protocol instance (:class:`_LinkSimulator`) — TM at ``u``, RM
   at ``v`` — over a wire whose delivery is gated by the physical link's
   up/down state (:class:`_LinkAdversary`);
-* interior nodes are store-and-forward relays with *bounded* queues:
-  a message delivered by hop ``u→v``'s RM is re-submitted to the next
-  hop's TM, data frames routed toward the destination and acknowledgement
-  frames toward the source along the currently-up shortest path;
+* every node is a store-and-forward relay with a *bounded* queue, the
+  source and destination included for frames in transit: a message
+  delivered by hop ``u→v``'s RM is re-submitted to the next hop's TM,
+  data frames routed toward the destination and acknowledgement frames
+  toward the source along the currently-up shortest path;
 * the source end pipelines a window of messages with timeout-driven
   retransmission; the destination deduplicates and resequences, returning
   cumulative acknowledgements — the Bunn–Ostrovsky-style end-to-end layer
@@ -248,9 +249,14 @@ class _LinkSimulator(Simulator):
             self._next_message = None
 
     def finalize_engine(self) -> None:
-        """Sync kernel-resident state back to the objects (no-op otherwise)."""
+        """Settle the hop's objects once a run ends: a kernel hop syncs its
+        loop's state back, an object hop flushes its deferred packet and
+        RETRY tallies into its trace's counters (as the kernel's sync does).
+        """
         if self._hop is not None:
             self._hop.finalize()
+        else:
+            self._flush_tallies()
 
     # -- Simulator overrides ---------------------------------------------------------
 
@@ -402,17 +408,18 @@ class FabricRun:
                     for i in range(1, len(route) - 1):
                         self._stripe_next[route[i]] = route[i + 1]
 
+        # Every node forwards transit frames, the endpoints included: a
+        # detour can hand a data frame back to the source or an ack to
+        # the destination, which then relay it like any other node.
         src, dst = self.network.source, self.network.destination
         self.queues: Dict[object, Deque[Tuple[bytes, int]]] = {
-            node: deque()
-            for node in self.network.graph.nodes()
-            if node not in (src, dst)
+            node: deque() for node in self.network.graph.nodes()
         }
         # Delivery drain plan: (delivered deque, lands-at-destination,
-        # lands-at-source, relay queue or None) per directed hop, so the
+        # lands-at-source, transit queue) per directed hop, so the
         # per-tick drain is one flat scan with no node comparisons.
-        self._drain_plan: List[Tuple[Deque[bytes], bool, bool, Optional[Deque]]] = [
-            (link.delivered, v == dst, v == src, self.queues.get(v))
+        self._drain_plan: List[Tuple[Deque[bytes], bool, bool, Deque]] = [
+            (link.delivered, v == dst, v == src, self.queues[v])
             for (u, v), link in self.links.items()
         ]
 
@@ -433,7 +440,6 @@ class FabricRun:
         self.relay_crashes = 0
         self.retransmits = 0
         self.dup_drops = 0
-        self.misrouted = 0
         self.ticks = 0
         self.completed = False
 
@@ -678,13 +684,10 @@ class FabricRun:
                     data_arrived = True
                 elif at_src and kind == ACK:
                     self._source_ack(seq)
-                elif queue is not None:
-                    if len(queue) >= queue_limit:
-                        self.queue_drops += 1
-                    else:
-                        queue.append((kind, seq))
+                elif len(queue) >= queue_limit:
+                    self.queue_drops += 1
                 else:
-                    self.misrouted += 1
+                    queue.append((kind, seq))
         return data_arrived
 
     def _forward_phase(self) -> None:
@@ -784,7 +787,7 @@ class FabricRun:
 
     @property
     def dropped_overflow(self) -> int:
-        """Frames dropped because a relay's bounded FIFO was full."""
+        """Frames dropped because a node's bounded transit FIFO was full."""
         return self.queue_drops
 
     @property

@@ -69,7 +69,6 @@ def _fingerprint(spec: FabricSpec, events, seed: int):
             "queue_drops": run.queue_drops,
             "dup_drops": run.dup_drops,
             "retransmits": run.retransmits,
-            "misrouted": run.misrouted,
             "dropped_overflow": run.dropped_overflow,
             "dropped_down": run.dropped_down,
         },
