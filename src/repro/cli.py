@@ -34,7 +34,7 @@ reproduces the E7 cost curve; ``campaign`` runs a supervised,
 fault-tolerant Monte-Carlo campaign with scripted fault injection and
 failure forensics; ``shrink`` minimizes an archived failing repro;
 ``live`` deploys the stations as real asyncio UDP endpoints behind the
-chaos proxy (docs/PROTOCOL.md §11); ``bench`` runs the streaming-engine
+chaos proxy (docs/PROTOCOL.md §11); ``bench`` runs the engine
 performance suite and enforces the regression gate against a committed
 baseline.
 """
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the streaming-engine perf suite; write/check BENCH_core.json",
+        help="run the engine perf suite; write/check BENCH_core.json",
     )
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads and run counts (CI smoke)")
@@ -778,20 +778,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         payload = runner()
     results = payload["results"]
-    if "macro" in results:
-        print(render_table(
-            ["workload", "mode", "steps/sec", "events/sec", "checker overhead"],
-            [
-                [workload, mode,
-                 f"{stats['steps_per_second']:,.0f}",
-                 f"{stats['events_per_second']:,.0f}",
-                 f"{stats['checker_overhead_ratio']:.1%}"]
-                for workload, modes in results["macro"].items()
-                for mode, stats in modes.items()
-            ],
-            title="macro benchmark (Monte-Carlo campaign path)",
-        ))
-        print()
     if "live" in results:
         live = results["live"]
         print(render_table(

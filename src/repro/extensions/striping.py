@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.adversary.base import Adversary
 from repro.checkers.safety import SafetyReport, check_all_safety
@@ -26,6 +26,7 @@ from repro.core.protocol import DataLink, make_data_link
 from repro.core.random_source import split_seed
 from repro.sim.simulator import Simulator
 from repro.sim.workload import ExplicitWorkload
+from repro.util.resequencer import Resequencer
 
 __all__ = ["Resequencer", "StripedLink", "StripedSimulator", "StripedResult"]
 
@@ -39,57 +40,6 @@ def _wrap(sequence: int, payload: bytes) -> bytes:
 def _unwrap(framed: bytes) -> "tuple[int, bytes]":
     (sequence,) = _HEADER.unpack_from(framed, 0)
     return sequence, framed[_HEADER.size :]
-
-
-class Resequencer:
-    """Restores global order over messages delivered by independent lanes.
-
-    Shared by the simulated :class:`StripedLink` and the live multi-lane
-    endpoints (:mod:`repro.live.lanes`).  Lanes hand in ``(sequence,
-    payload)`` pairs in whatever order their handshakes complete; the
-    resequencer buffers gaps and releases the longest in-order run.
-    Duplicate sequence numbers — possible on the live wire when a lane
-    crash resubmits a slot whose first incarnation was already delivered —
-    are counted and dropped, never re-released.
-    """
-
-    __slots__ = ("_next", "_pending", "delivered_in_order", "duplicates",
-                 "high_water")
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._pending: Dict[int, bytes] = {}
-        self.delivered_in_order: List[bytes] = []
-        self.duplicates = 0
-        #: Most messages ever buffered while waiting for an earlier one.
-        self.high_water = 0
-
-    @property
-    def next_expected(self) -> int:
-        return self._next
-
-    @property
-    def backlog(self) -> int:
-        """Messages held back waiting for an earlier sequence number."""
-        return len(self._pending)
-
-    def accept(self, sequence: int, payload: bytes) -> List[bytes]:
-        """Feed one lane delivery; returns the messages newly in order."""
-        if sequence < self._next or sequence in self._pending:
-            self.duplicates += 1
-            return []
-        self._pending[sequence] = payload
-        released: List[bytes] = []
-        while self._next in self._pending:
-            released.append(self._pending.pop(self._next))
-            self._next += 1
-        self.delivered_in_order.extend(released)
-        # Measured after the release sweep so it means the same thing as
-        # ``backlog``: messages actually held back waiting for a gap (an
-        # arrival that immediately releases is never "buffered").
-        if len(self._pending) > self.high_water:
-            self.high_water = len(self._pending)
-        return released
 
 
 class StripedLink:

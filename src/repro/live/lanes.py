@@ -16,7 +16,7 @@ group of one:
   instances never interact.
 * Messages are striped round-robin: global sequence ``s`` rides lane
   ``s % K`` under a ``(sequence, attempt)`` stripe header, and the
-  receiver's shared :class:`~repro.extensions.striping.Resequencer`
+  receiver's shared :class:`~repro.util.resequencer.Resequencer`
   restores global order.  The ``attempt`` field makes a crash-resubmitted
   slot a *distinct* message value (Axiom 2) without touching the payload
   the resequencer releases, and the sequence number lets the resequencer
@@ -86,9 +86,9 @@ from repro.core.protocol import DataLink
 from repro.core.random_source import RandomSource
 from repro.core.receiver import Receiver
 from repro.core.transmitter import Transmitter
-from repro.extensions.striping import Resequencer
 from repro.live.backoff import AdaptiveBackoff
 from repro.live.endpoints import Address, _SocketBase
+from repro.util.resequencer import Resequencer
 
 __all__ = [
     "LaneMetrics",

@@ -1,21 +1,9 @@
-"""Micro/macro benchmarks for the streaming trace engine.
+"""Engine benchmarks: the harness behind ``BENCH_core.json`` and its gate.
 
-The harness answers three questions, repeatably:
+The harness answers these questions, repeatably:
 
 * **micro** — how fast are the primitives: raw ``Trace.append`` and the
   online :class:`~repro.checkers.StreamingChecks` dispatch, in events/sec;
-* **macro** — how fast is the Monte-Carlo campaign path end to end
-  (simulate + record + check), in steps/sec and events/sec, under three
-  engine modes:
-
-  - ``legacy``       — full trace retention, per-step storage sampling,
-    post-hoc batch checkers: the cost model of the pre-streaming engine;
-  - ``streaming_full`` — online monitors riding a fully-retained trace
-    (today's ``run_once`` default);
-  - ``streaming_none`` — online monitors with ``retain="none"``: the
-    checker-only campaign configuration;
-
-* **memory** — peak ``tracemalloc`` footprint of one long run per mode;
 
 * **campaign** — end-to-end throughput of the parallel campaign
   supervisor on a many-run lossy campaign of short runs (the regime where
@@ -26,25 +14,33 @@ The harness answers three questions, repeatably:
 
 * **stabilization** — checker overhead of self-stabilizing mode: the
   same corrupting lossy workload is timed with and without the
-  convergence monitor (``RunSpec.stabilization``), interleaved run-by-run
-  like the macro legs.  The gated ``stabilization_overhead`` ratio
-  (monitored steps/sec over plain steps/sec) bounds what the probation
-  bookkeeping may cost on the campaign hot path;
+  convergence monitor (``RunSpec.stabilization``), interleaved run by
+  run.  The gated ``stabilization_overhead`` ratio (monitored steps/sec
+  over plain steps/sec) bounds what the probation bookkeeping may cost on
+  the campaign hot path;
 
 * **live** — loopback messages/sec of the live UDP deployment at
   lanes ∈ {1, 4, 8} on a lossless (small fixed delay) profile.  The gated
   ``live_lane_speedup`` ratio (8 lanes vs 1) measures how much of Axiom
   1's stop-and-wait latency the lane striping actually pipelines away on
   a real wire; every leg must deliver its whole workload with clean
-  verdicts or the benchmark raises.
+  verdicts or the benchmark raises;
+
+* **kernel** — the step kernel against the object engine on identical
+  seeds (``kernel_steps_speedup`` and its lossy twin);
+
+* **relay** — the relay fabric: per-hop efficiency of a 4-hop line
+  against one hop, the kernel hop engine against the object one, and
+  the protocol-time win of two disjoint paths on a ring.
 
 Absolute throughput is machine-dependent, so the regression gate
-(:func:`check_regression`) compares only *within-run ratios* — the
-streaming-vs-legacy speedup and memory reduction — against the committed
-``BENCH_core.json`` baseline.  Those ratios are stable across hosts; a
->25 % drop means the streaming engine lost its advantage, i.e. a real
-regression.  :data:`SEED_BASELINE` additionally records the absolute
-numbers measured on the pre-streaming tree for the before/after story.
+(:func:`check_regression`) compares only *within-run ratios* against the
+committed ``BENCH_core.json`` baseline, and the kernel and relay ratios
+additionally against absolute floors (:data:`_GATE_FLOORS`).  Absolute,
+host-stamped figures for the campaign, fabric and live paths come from
+the end-to-end benchmark (``e2ebench/``).  :data:`SEED_BASELINE` and
+:data:`SEED_COMPARISON` record the numbers measured against the
+pre-streaming tree for the before/after story.
 """
 
 from __future__ import annotations
@@ -56,15 +52,12 @@ import math
 import platform
 import statistics
 import sys
-import tracemalloc
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.adversary.benign import ReliableAdversary
 from repro.adversary.corruption import StateCorruptionAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
-from repro.checkers.liveness import check_liveness
-from repro.checkers.safety import check_all_safety
 from repro.checkers.streaming import StreamingChecks
 from repro.checkers.trace import Trace
 from repro.core.events import (
@@ -85,7 +78,6 @@ from repro.sim.workload import SequentialWorkload
 __all__ = [
     "SEED_BASELINE",
     "SEED_COMPARISON",
-    "MACRO_MODES",
     "run_bench",
     "run_kernel_bench",
     "gate_ratios",
@@ -95,15 +87,15 @@ __all__ = [
 ]
 
 #: Absolute numbers measured on the pre-streaming tree (commit ec5718d,
-#: the engine this PR replaces), with the same workloads as the "full"
-#: macro benchmark.  Methodology: a git worktree of the seed commit and
-#: the current tree were benchmarked in alternating subprocesses on the
-#: same host (6-run warm-up, then best of three 6-run trials of
-#: RunSpec.default(messages=200); medians over three interleaved
-#: repetitions), which bounds the host's timing drift to well under the
-#: measured gap.  Memory is the peak tracemalloc footprint of one
-#: 400-message run.  Kept for the measured before/after table; never used
-#: by the regression gate (absolute throughput is machine-dependent).
+#: the engine the streaming trace engine replaced).  Methodology: a git
+#: worktree of the seed commit and the streaming tree were benchmarked
+#: in alternating subprocesses on the same host (6-run warm-up, then best
+#: of three 6-run trials of RunSpec.default(messages=200); medians over
+#: three interleaved repetitions), which bounds the host's timing drift
+#: to well under the measured gap.  Memory is the peak tracemalloc
+#: footprint of one 400-message run.  Kept for the measured before/after
+#: table; never used by the regression gate (absolute throughput is
+#: machine-dependent).
 SEED_BASELINE: Dict[str, Dict[str, float]] = {
     "reliable": {
         "steps_per_second": 87_760.5,
@@ -144,14 +136,8 @@ SEED_COMPARISON: Dict[str, Dict[str, float]] = {
     },
 }
 
-MACRO_MODES = ("legacy", "streaming_full", "streaming_none")
-
 #: Ratios the regression gate compares against the committed baseline.
 _GATE_KEYS = (
-    "steps_speedup_reliable",
-    "steps_speedup_lossy",
-    "memory_reduction_reliable",
-    "memory_reduction_lossy",
     "campaign_dispatch_speedup",
     "live_lane_speedup",
     "stabilization_overhead",
@@ -197,116 +183,6 @@ _GATE_THRESHOLDS = {
 }
 
 
-def _reliable_spec(messages: int) -> RunSpec:
-    return RunSpec.default(messages=messages, label="reliable")
-
-
-def _lossy_spec(messages: int) -> RunSpec:
-    spec = RunSpec.default(messages=messages, label="lossy")
-    spec.adversary_factory = lambda: RandomFaultAdversary(FaultProfile(loss=0.2))
-    spec.max_steps = 400_000
-    return spec
-
-
-def _legacy_run(spec: RunSpec, seed: int):
-    """One run under the pre-streaming cost model.
-
-    Mirrors what ``run_once`` did before the streaming engine: record a
-    full trace with per-step storage sampling and no online monitors, then
-    evaluate safety and liveness post-hoc over the finished trace.
-    """
-    link = spec.link_factory(split_seed(seed, "link"))
-    adversary = spec.adversary_factory()
-    workload = spec.workload_factory(split_seed(seed, "workload"))
-    simulator = Simulator(
-        link=link,
-        adversary=adversary,
-        workload=workload,
-        seed=split_seed(seed, "adversary"),
-        retry_every=spec.retry_every,
-        max_steps=spec.max_steps,
-        enforce_fairness=spec.enforce_fairness,
-        fairness_patience=spec.fairness_patience,
-        retain="full",
-        storage_sample_every=1,
-        keep_storage_samples=True,
-    )
-    result = simulator.run()
-    safety = check_all_safety(result.trace)
-    liveness = check_liveness(result.trace, run_completed=result.completed)
-    if not (safety.passed and liveness.passed):
-        raise RuntimeError(f"benchmark run violated a condition: {result.trace}")
-    return result
-
-
-def _mode_runner(spec: RunSpec, mode: str) -> Callable[[int], "object"]:
-    """Returns seed -> SimulationResult for one engine mode."""
-    if mode == "legacy":
-        return lambda seed: _legacy_run(spec, seed)
-    retain = "none" if mode == "streaming_none" else "full"
-    streaming_spec = dataclasses.replace(spec, retain=retain)
-    return lambda seed: run_once(streaming_spec, seed).result
-
-
-def _bench_macro_workload(
-    spec: RunSpec, runs: int, base_seed: int
-) -> Dict[str, Dict[str, float]]:
-    """Benchmark every engine mode over one workload, interleaved.
-
-    The modes take turns run-by-run (legacy run 0, streaming run 0, …,
-    legacy run 1, …) rather than as back-to-back blocks, so slow drift in
-    the host's clock speed hits every mode about equally and the gated
-    *ratios* stay meaningful even on a noisy machine.  One untimed
-    warm-up run per mode pays the import/JIT-warming cost up front.
-    """
-    runners = {mode: _mode_runner(spec, mode) for mode in MACRO_MODES}
-    totals = {
-        mode: {"wall_seconds": 0.0, "steps": 0, "events": 0, "checker_seconds": 0.0}
-        for mode in MACRO_MODES
-    }
-    for runner in runners.values():
-        runner(split_seed(base_seed, "bench-warmup"))
-    for i in range(runs):
-        seed = split_seed(base_seed, "bench", i)
-        for mode, runner in runners.items():
-            started = perf_counter()
-            result = runner(seed)
-            wall = perf_counter() - started
-            bucket = totals[mode]
-            bucket["wall_seconds"] += wall
-            bucket["steps"] += result.steps
-            bucket["events"] += result.trace.total_events
-            bucket["checker_seconds"] += result.metrics.checker_seconds
-    stats: Dict[str, Dict[str, float]] = {}
-    for mode, bucket in totals.items():
-        wall = bucket["wall_seconds"]
-        stats[mode] = {
-            "runs": runs,
-            "wall_seconds": wall,
-            "steps": bucket["steps"],
-            "events": bucket["events"],
-            "steps_per_second": bucket["steps"] / wall if wall > 0 else 0.0,
-            "events_per_second": bucket["events"] / wall if wall > 0 else 0.0,
-            "checker_overhead_ratio": (
-                bucket["checker_seconds"] / wall if wall > 0 else 0.0
-            ),
-        }
-    return stats
-
-
-def _bench_memory_mode(spec: RunSpec, mode: str, base_seed: int) -> int:
-    """Peak tracemalloc footprint (bytes) of one run under ``mode``."""
-    runner = _mode_runner(spec, mode)
-    seed = split_seed(base_seed, "bench-mem")
-    tracemalloc.start()
-    try:
-        runner(seed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def _kernel_leg_run(engine: str, lossy: bool, messages: int, seed: int):
     """One engine-throughput run: direct simulator, no checkers, no trace.
 
@@ -336,49 +212,79 @@ def _kernel_leg_run(engine: str, lossy: bool, messages: int, seed: int):
     return perf_counter() - started, result.steps
 
 
+def _timed_pairs(
+    run_a: Callable[[int], Tuple[float, int]],
+    run_b: Callable[[int], Tuple[float, int]],
+    seeds: Sequence[int],
+    warm_seed: int,
+) -> List[Tuple[float, int, float, int]]:
+    """Time each seed back to back on two sides, ``a`` first.
+
+    Each side maps a seed to ``(wall_seconds, count)``; the result holds
+    one ``(wall_a, count_a, wall_b, count_b)`` per seed.  One untimed
+    warm-up pair pays first-call costs.  Collection is paused
+    around the timed pairs so a GC cycle cannot land inside one side's
+    window but not the other's.  Callers record the *median* of the
+    per-pair wall ratios, which is robust to the occasional run a noisy
+    host slows several-fold, where a quotient of best-of walls is not.
+    """
+    run_a(warm_seed)
+    run_b(warm_seed)
+    pairs: List[Tuple[float, int, float, int]] = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in seeds:
+            pairs.append(run_a(seed) + run_b(seed))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return pairs
+
+
+def _pair_ratios(timed) -> List[float]:
+    """Per-pair wall ratios ``a / b`` of :func:`_timed_pairs` output."""
+    return [
+        wall_a / wall_b if wall_b > 0 else 0.0
+        for wall_a, _, wall_b, _ in timed
+    ]
+
+
+def _check_counts_equal(timed, what: str) -> None:
+    """Both sides of every pair must have done the same work."""
+    for i, (_, count_a, _, count_b) in enumerate(timed):
+        if count_a != count_b:
+            raise RuntimeError(
+                f"{what} pair {i}: engines diverged ({count_a} vs {count_b})"
+            )
+
+
 def _bench_kernel(
     messages: int, pairs: int, base_seed: int
 ) -> Dict[str, Dict[str, float]]:
     """Step-kernel speedup over the object engine, paired run by run.
 
     Every seed is executed back-to-back on both engines (object first,
-    kernel second) and contributes one wall-clock ratio; the recorded
-    speedup is the *median* of the per-pair ratios, which is robust to
-    the occasional run that a noisy host slows several-fold.  Collection
-    is paused around the timed pairs so a GC cycle cannot land inside
-    one engine's window but not the other's.  Both engines must execute
-    the identical number of steps per seed — a kernel that diverged from
-    the object engine would invalidate the comparison, so it raises.
+    kernel second, see :func:`_timed_pairs`) and contributes one
+    wall-clock ratio; the recorded speedup is the median of the per-pair
+    ratios.  Both engines must execute the identical number of steps per
+    seed — a kernel that diverged from the object engine would invalidate
+    the comparison, so it raises.
     """
     stats: Dict[str, Dict[str, float]] = {}
     for lossy in (False, True):
         label = "lossy" if lossy else "reliable"
-        warm_seed = split_seed(base_seed, "bench-kernel-warmup", label)
-        _kernel_leg_run("object", lossy, messages, warm_seed)
-        _kernel_leg_run("kernel", lossy, messages, warm_seed)
-        ratios: List[float] = []
-        object_wall = 0.0
-        kernel_wall = 0.0
-        total_steps = 0
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for i in range(pairs):
-                seed = split_seed(base_seed, "bench-kernel", label, i)
-                wall_o, steps_o = _kernel_leg_run("object", lossy, messages, seed)
-                wall_k, steps_k = _kernel_leg_run("kernel", lossy, messages, seed)
-                if steps_o != steps_k:
-                    raise RuntimeError(
-                        f"kernel bench {label} pair {i}: engines diverged "
-                        f"({steps_o} vs {steps_k} steps)"
-                    )
-                object_wall += wall_o
-                kernel_wall += wall_k
-                total_steps += steps_k
-                ratios.append(wall_o / wall_k if wall_k > 0 else 0.0)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        timed = _timed_pairs(
+            lambda seed: _kernel_leg_run("object", lossy, messages, seed),
+            lambda seed: _kernel_leg_run("kernel", lossy, messages, seed),
+            [split_seed(base_seed, "bench-kernel", label, i) for i in range(pairs)],
+            split_seed(base_seed, "bench-kernel-warmup", label),
+        )
+        _check_counts_equal(timed, f"kernel bench {label} (steps)")
+        object_wall = sum(pair[0] for pair in timed)
+        kernel_wall = sum(pair[2] for pair in timed)
+        total_steps = sum(pair[3] for pair in timed)
+        ratios = _pair_ratios(timed)
         stats[label] = {
             "pairs": pairs,
             "messages": messages,
@@ -497,10 +403,10 @@ def _bench_stabilization(
 ) -> Dict[str, Dict[str, float]]:
     """Same corrupting workload, with and without the convergence monitor.
 
-    The two variants take turns run-by-run (like the macro legs) so host
-    clock drift cancels out of the gated ratio.  The corrupting adversary
-    is seed-pinned, so both variants simulate the identical run — the only
-    difference is whether :class:`StabilizationMonitor` rides the stream.
+    The two variants take turns run by run so host clock drift cancels
+    out of the gated ratio.  The corrupting adversary is seed-pinned, so
+    both variants simulate the identical run — the only difference is
+    whether :class:`StabilizationMonitor` rides the stream.
     The leg refuses to report a ratio measured on a corruption-free
     workload: that would gate nothing.
     """
@@ -626,7 +532,45 @@ def _synthetic_events(count: int) -> List[Event]:
     return events[:count]
 
 
+#: Pairs timed per wall-clock relay leg.  A quick kernel run lasts
+#: ~1.4 ms, so one pair's ratio swings with the host; over 5 pairs the
+#: median still read from 3.7 to 5.0 on a shared 2-vCPU host, over 21
+#: from 4.4 to 4.7.
+_RELAY_PAIRS = 21
+
+#: Repetitions of a stripe leg, whose gated ratio counts ticks.
 _RELAY_REPEATS = 3
+
+
+def _fabric_run(spec, seed: int) -> Tuple[float, int]:
+    """Wall seconds (construction excluded) and ticks of one fault-free stream."""
+    from repro.transport.fabric import FabricRun
+
+    run = FabricRun(spec, (), seed)
+    started = perf_counter()
+    outcome = run.run()
+    wall = perf_counter() - started
+    if not outcome.result.completed:
+        raise RuntimeError(
+            f"relay bench leg {spec.label} failed to deliver its stream "
+            f"within {spec.max_ticks} ticks"
+        )
+    return wall, run.ticks
+
+
+def _fabric_leg(timed, side: int, messages: int, hops: int) -> Dict[str, float]:
+    """One side's totals over timed fabric pairs (side 0 is ``a``)."""
+    wall = sum(pair[2 * side] for pair in timed)
+    return {
+        "hops": hops,
+        "messages": messages,
+        "pairs": len(timed),
+        "ticks": timed[-1][2 * side + 1],
+        "wall_seconds": wall,
+        "messages_per_second": (
+            messages * len(timed) / wall if wall > 0 else 0.0
+        ),
+    }
 
 
 def _bench_relay(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
@@ -638,68 +582,31 @@ def _bench_relay(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
     over 1-hop messages/sec.  1.0 would mean relaying is free (each hop
     runs a full TM/RM instance, so the 4-hop line does 4x the per-link
     work); the committed baseline bounds how far below free the fabric's
-    store-and-forward overhead may drift.  Best-of-``_RELAY_REPEATS``
-    wall clock per leg, construction excluded (timeit discipline).
+    store-and-forward overhead may drift.  Each seed runs on both lines
+    back to back (:func:`_timed_pairs`) and the recorded efficiency is
+    the median of the per-pair ones.
     """
-    from repro.transport.fabric import FabricRun, FabricSpec
+    from repro.transport.fabric import FabricSpec
 
-    seed = split_seed(base_seed, "bench-relay")
-    stats: Dict[str, Dict[str, float]] = {}
-    for name, hops in (("line_1", 1), ("line_4", 4)):
-        spec = FabricSpec(
-            topology="line", size=hops, messages=messages, label=name
-        )
-        wall = math.inf
-        ticks = 0
-        for _ in range(_RELAY_REPEATS):
-            run = FabricRun(spec, (), seed)
-            started = perf_counter()
-            outcome = run.run()
-            wall = min(wall, perf_counter() - started)
-            if not outcome.result.completed:
-                raise RuntimeError(
-                    f"relay bench leg {name} failed to deliver its stream "
-                    f"within {spec.max_ticks} ticks"
-                )
-            ticks = run.ticks
-        stats[name] = {
-            "hops": hops,
-            "messages": messages,
-            "ticks": ticks,
-            "wall_seconds": wall,
-            "messages_per_second": messages / wall if wall > 0 else 0.0,
-        }
-    return stats
-
-
-#: Pairs timed per leg.  A quick kernel run lasts ~1.4 ms, so one pair's
-#: ratio swings with the host; over 5 pairs the median still read from
-#: 3.7 to 5.0 on a shared 2-vCPU host, over 21 from 4.4 to 4.7.
-_RELAY_KERNEL_PAIRS = 21
-
-
-def _relay_kernel_leg_run(engine: str, messages: int, seed: int):
-    from repro.transport.fabric import FabricRun, FabricSpec
-
-    spec = FabricSpec(
-        topology="line",
-        size=4,
-        messages=messages,
-        window=32,
-        steps_per_tick=64,
-        engine=engine,
-        label=f"bench_{engine}",
+    line_1, line_4 = (
+        FabricSpec(topology="line", size=hops, messages=messages,
+                   label=f"line_{hops}")
+        for hops in (1, 4)
     )
-    run = FabricRun(spec, (), seed)
-    started = perf_counter()
-    outcome = run.run()
-    wall = perf_counter() - started
-    if not outcome.result.completed:
-        raise RuntimeError(
-            f"relay kernel bench ({engine} engine) failed to deliver "
-            f"its stream within {spec.max_ticks} ticks"
-        )
-    return wall, run.ticks
+    timed = _timed_pairs(
+        lambda seed: _fabric_run(line_1, seed),
+        lambda seed: _fabric_run(line_4, seed),
+        [split_seed(base_seed, "bench-relay", i) for i in range(_RELAY_PAIRS)],
+        split_seed(base_seed, "bench-relay-warmup"),
+    )
+    stats = {
+        "line_1": _fabric_leg(timed, 0, messages, 1),
+        "line_4": _fabric_leg(timed, 1, messages, 4),
+    }
+    stats["line_4"]["efficiency_median"] = 4 * statistics.median(
+        _pair_ratios(timed)
+    )
+    return stats
 
 
 def _bench_relay_kernel(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
@@ -711,55 +618,40 @@ def _bench_relay_kernel(messages: int, base_seed: int) -> Dict[str, Dict[str, fl
     dispatch through the object graph vs the hop kernel's flat-local
     burst loop with idle fast-forward.  The wide window and high
     ``steps_per_tick`` keep the run engine-dominated rather than
-    fabric-dispatch-dominated.  Measurement follows :func:`_bench_kernel`
-    discipline: a warmup pair, collection paused around the timed pairs
-    (a GC cycle landing inside the short kernel window but not the long
-    object one would wreck the ratio), each seed run back-to-back on
-    both engines, and the recorded speedup is the *median* of the
-    per-pair ratios — robust to the occasional run a noisy host slows
-    several-fold, where a best-of-walls quotient is not.
+    fabric-dispatch-dominated.  Each seed runs on both engines back to
+    back (:func:`_timed_pairs`; a GC cycle landing inside the short kernel
+    window but not the long object one would wreck the ratio) and the
+    recorded speedup is the median of the per-pair ratios.
     """
-    warm_seed = split_seed(base_seed, "bench-relay-kernel-warmup")
-    _relay_kernel_leg_run("object", messages, warm_seed)
-    _relay_kernel_leg_run("kernel", messages, warm_seed)
-    ratios: List[float] = []
-    walls = {"object": 0.0, "kernel": 0.0}
-    ticks = {"object": 0, "kernel": 0}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(_RELAY_KERNEL_PAIRS):
-            seed = split_seed(base_seed, "bench-relay-kernel", i)
-            wall_o, ticks_o = _relay_kernel_leg_run("object", messages, seed)
-            wall_k, ticks_k = _relay_kernel_leg_run("kernel", messages, seed)
-            if ticks_o != ticks_k:
-                raise RuntimeError(
-                    f"relay kernel bench pair {i}: engines diverged "
-                    f"({ticks_o} vs {ticks_k} ticks)"
-                )
-            walls["object"] += wall_o
-            walls["kernel"] += wall_k
-            ticks["object"] = ticks_o
-            ticks["kernel"] = ticks_k
-            ratios.append(wall_o / wall_k if wall_k > 0 else 0.0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    median = statistics.median(ratios)
-    stats: Dict[str, Dict[str, float]] = {}
-    for engine in ("object", "kernel"):
-        total = messages * _RELAY_KERNEL_PAIRS
-        stats[engine] = {
-            "hops": 4,
-            "messages": messages,
-            "pairs": _RELAY_KERNEL_PAIRS,
-            "ticks": ticks[engine],
-            "wall_seconds": walls[engine],
-            "messages_per_second": (
-                total / walls[engine] if walls[engine] > 0 else 0.0
-            ),
-        }
-    stats["kernel"]["speedup_median"] = median
+    from repro.transport.fabric import FabricSpec
+
+    specs = {
+        engine: FabricSpec(
+            topology="line",
+            size=4,
+            messages=messages,
+            window=32,
+            steps_per_tick=64,
+            engine=engine,
+            label=f"bench_{engine}",
+        )
+        for engine in ("object", "kernel")
+    }
+    timed = _timed_pairs(
+        lambda seed: _fabric_run(specs["object"], seed),
+        lambda seed: _fabric_run(specs["kernel"], seed),
+        [
+            split_seed(base_seed, "bench-relay-kernel", i)
+            for i in range(_RELAY_PAIRS)
+        ],
+        split_seed(base_seed, "bench-relay-kernel-warmup"),
+    )
+    _check_counts_equal(timed, "relay kernel bench (ticks)")
+    stats = {
+        "object": _fabric_leg(timed, 0, messages, 4),
+        "kernel": _fabric_leg(timed, 1, messages, 4),
+    }
+    stats["kernel"]["speedup_median"] = statistics.median(_pair_ratios(timed))
     return stats
 
 
@@ -775,7 +667,7 @@ def _bench_relay_stripe(messages: int, base_seed: int) -> Dict[str, Dict[str, fl
     total engine work either way.  Tick counts are fully deterministic
     per seed, so the ratio is exactly reproducible across hosts.
     """
-    from repro.transport.fabric import FabricRun, FabricSpec
+    from repro.transport.fabric import FabricSpec
 
     seed = split_seed(base_seed, "bench-relay-stripe")
     stats: Dict[str, Dict[str, float]] = {}
@@ -791,18 +683,9 @@ def _bench_relay_stripe(messages: int, base_seed: int) -> Dict[str, Dict[str, fl
             label=f"bench_stripe_{paths}",
         )
         wall = math.inf
-        ticks = 0
         for _ in range(_RELAY_REPEATS):
-            run = FabricRun(spec, (), seed)
-            started = perf_counter()
-            outcome = run.run()
-            wall = min(wall, perf_counter() - started)
-            if not outcome.result.completed:
-                raise RuntimeError(
-                    f"relay stripe bench ({paths}-path) failed to deliver "
-                    f"its stream within {spec.max_ticks} ticks"
-                )
-            ticks = run.ticks
+            leg_wall, ticks = _fabric_run(spec, seed)
+            wall = min(wall, leg_wall)
         stats[f"paths_{paths}"] = {
             "paths": paths,
             "messages": messages,
@@ -845,21 +728,7 @@ def _bench_streaming_checks(events: List[Event]) -> Dict[str, float]:
 
 def gate_ratios(results: dict) -> Dict[str, float]:
     """The machine-independent ratios the regression gate compares."""
-    macro = results.get("macro") or {}
-    memory = results.get("memory") or {}
     ratios: Dict[str, float] = {}
-    for workload in ("reliable", "lossy"):
-        if workload in macro:
-            legacy = macro[workload]["legacy"]
-            fast = macro[workload]["streaming_none"]
-            if legacy["steps_per_second"] > 0:
-                ratios[f"steps_speedup_{workload}"] = (
-                    fast["steps_per_second"] / legacy["steps_per_second"]
-                )
-        if workload in memory and memory[workload]["streaming_none"] > 0:
-            ratios[f"memory_reduction_{workload}"] = (
-                memory[workload]["legacy"] / memory[workload]["streaming_none"]
-            )
     campaign = results.get("campaign")
     if campaign and campaign["per_run"]["steps_per_second"] > 0:
         ratios["campaign_dispatch_speedup"] = (
@@ -887,12 +756,8 @@ def gate_ratios(results: dict) -> Dict[str, float]:
             "steps_speedup_median"
         ]
     relay = results.get("relay")
-    if relay and relay["line_1"]["messages_per_second"] > 0:
-        ratios["relay_hop_efficiency"] = (
-            relay["line_4"]["messages_per_second"]
-            * relay["line_4"]["hops"]
-            / relay["line_1"]["messages_per_second"]
-        )
+    if relay and "efficiency_median" in relay.get("line_4", {}):
+        ratios["relay_hop_efficiency"] = relay["line_4"]["efficiency_median"]
     relay_kernel = results.get("relay_kernel")
     if relay_kernel and "speedup_median" in relay_kernel.get("kernel", {}):
         ratios["relay_kernel_speedup"] = relay_kernel["kernel"][
@@ -929,23 +794,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
         messages, runs, micro_events, live_messages = 200, 12, 200_000, 80
         kernel_messages, kernel_pairs = 2000, 8
         relay_messages = 120
-    memory_messages = messages * 2
-    specs = {
-        "reliable": _reliable_spec(messages),
-        "lossy": _lossy_spec(messages),
-    }
-    macro: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for workload, spec in specs.items():
-        macro[workload] = _bench_macro_workload(spec, runs, base_seed)
-    memory_specs = {
-        "reliable": _reliable_spec(memory_messages),
-        "lossy": _lossy_spec(memory_messages),
-    }
-    memory: Dict[str, Dict[str, int]] = {}
-    for workload, spec in memory_specs.items():
-        memory[workload] = {
-            mode: _bench_memory_mode(spec, mode, base_seed) for mode in MACRO_MODES
-        }
     events = _synthetic_events(micro_events)
     micro = {
         "trace_append": _bench_trace_append(events),
@@ -959,8 +807,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
     relay_kernel = _bench_relay_kernel(relay_messages, base_seed)
     relay_stripe = _bench_relay_stripe(relay_messages, base_seed)
     results = {
-        "macro": macro,
-        "memory": memory,
         "micro": micro,
         "campaign": campaign,
         "live": live,
@@ -976,7 +822,6 @@ def run_bench(quick: bool = False, base_seed: int = 0) -> dict:
         "config": {
             "messages": messages,
             "runs": runs,
-            "memory_messages": memory_messages,
             "micro_events": micro_events,
             "campaign_runs": campaign_runs,
             "live_messages": live_messages,

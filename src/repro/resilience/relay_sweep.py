@@ -6,7 +6,7 @@ and destination of a faulty network (Section 1); the Markov
 failure process.  This module lights up that axis: a grid of
 ``(topology, fail_rate)`` cells, each driven through the batched campaign
 engine (:func:`~repro.resilience.supervisor.run_campaign`) so timeouts,
-retries, shared-memory result streaming and forensics all apply per cell.
+retries, sharded dispatch and forensics all apply per cell.
 
 Each cell reports delivery rate (messages delivered over messages
 submitted, pooled over runs), completion and CLEAN rates, convergence

@@ -78,6 +78,7 @@ from repro.transport.network import (
     mesh_network,
     ring_network,
 )
+from repro.util.resequencer import Resequencer
 
 __all__ = ["FabricSpec", "FabricRun", "DATA", "ACK"]
 
@@ -431,15 +432,13 @@ class FabricRun:
         self._sent_at: Dict[int, int] = {}
         self._rto_guard = 0  # lower bound on min(_sent_at.values())
         # Destination endpoint: dedup + resequencer + cumulative acks.
-        self._next_expected = 0
-        self._reorder: Dict[int, bool] = {}
+        self._reseq = Resequencer()
 
         # Diagnostics the tests and bench read.
         self.reroutes = 0
         self.queue_drops = 0
         self.relay_crashes = 0
         self.retransmits = 0
-        self.dup_drops = 0
         self.ticks = 0
         self.completed = False
 
@@ -643,31 +642,33 @@ class FabricRun:
             self.trace.append(OK)
             self._base += 1
 
+    @property
+    def dup_drops(self) -> int:
+        """Data frames the destination discarded as already delivered."""
+        return self._reseq.duplicates
+
     def _destination_data(self, seq: int) -> None:
+        body = self._body(seq)
         if not self.spec.exactly_once:
             # Ablation: raw arrival stream straight to the monitor —
-            # duplicates and reordering reach the destination application.
-            self.trace.append(make_receive_msg(self._body(seq)))
-            if seq == self._next_expected:
-                self._next_expected += 1
+            # duplicates and reordering reach the destination application;
+            # only an in-order arrival moves the cumulative ack.
+            self.trace.append(make_receive_msg(body))
+            if seq == self._reseq.next_expected:
+                self._reseq.accept(seq, body)
             return
-        if seq < self._next_expected or seq in self._reorder:
-            self.dup_drops += 1
-            return
-        self._reorder[seq] = True
-        while self._next_expected in self._reorder:
-            del self._reorder[self._next_expected]
-            self.trace.append(make_receive_msg(self._body(self._next_expected)))
-            self._next_expected += 1
+        for released in self._reseq.accept(seq, body):
+            self.trace.append(make_receive_msg(released))
 
     def _destination_ack_phase(self) -> None:
-        if self._next_expected == 0:
+        delivered = self._reseq.next_expected
+        if delivered == 0:
             return
         hop = self._next_hop(self.network.destination, toward_destination=False)
         if hop is None:
             return
         self.links[(self.network.destination, hop)].push_frame(
-            ACK, self._next_expected - 1
+            ACK, delivered - 1
         )
 
     # -- relays -----------------------------------------------------------------------
@@ -829,7 +830,7 @@ class FabricRun:
             steps=self.ticks,
             messages_submitted=self._next_seq,
             messages_ok=self._base,
-            messages_delivered=self._next_expected,
+            messages_delivered=self._reseq.next_expected,
             packets_sent=packets_sent,
             packets_delivered=packets_delivered,
             bits_sent=bits_sent,

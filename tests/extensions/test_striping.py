@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
@@ -115,3 +118,24 @@ class TestResequencer:
         reseq.accept(0, b"x")
         assert reseq.backlog == 0
         assert reseq.high_water == 3  # high-water survives the flush
+
+    def test_fabric_and_live_lanes_share_it_without_the_extensions(self):
+        # One class serves the striped link, the live lanes and the relay
+        # fabric's destination, and the latter two reach it without
+        # importing this package's forgery and content-aware attackers.
+        code = (
+            "import sys\n"
+            "from repro.live import lanes\n"
+            "from repro.transport import fabric\n"
+            "assert lanes.Resequencer is fabric.Resequencer\n"
+            "print(sorted(m for m in sys.modules if 'extensions' in m))\n"
+        )
+        probe = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "[]"
+        from repro.transport import fabric
+
+        assert fabric.Resequencer is Resequencer

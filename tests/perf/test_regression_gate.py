@@ -8,11 +8,15 @@ smoke job exercises the real ``repro bench --quick --check`` path.
 
 from __future__ import annotations
 
+import gc
+from itertools import cycle
 from pathlib import Path
 
 import pytest
 
+from repro.perf import bench
 from repro.perf.bench import (
+    _GATE_KEYS,
     SEED_BASELINE,
     SEED_COMPARISON,
     check_regression,
@@ -29,64 +33,125 @@ def payload_with_ratios(**ratios) -> dict:
 
 
 def full_ratios(value: float) -> dict:
+    # The gates with the default threshold and no absolute floor, so the
+    # arithmetic below is the relative check's alone.
     return payload_with_ratios(
-        steps_speedup_reliable=value,
-        steps_speedup_lossy=value,
-        memory_reduction_reliable=value,
-        memory_reduction_lossy=value,
+        campaign_dispatch_speedup=value,
+        stabilization_overhead=value,
     )
+
+
+GATED = len(full_ratios(1.0)["ratios"])
 
 
 def test_gate_ratios_from_results():
     results = {
-        "macro": {
-            "reliable": {
-                "legacy": {"steps_per_second": 100.0},
-                "streaming_none": {"steps_per_second": 150.0},
-            },
-            "lossy": {
-                "legacy": {"steps_per_second": 80.0},
-                "streaming_none": {"steps_per_second": 120.0},
-            },
-        },
-        "memory": {
-            "reliable": {"legacy": 600, "streaming_none": 300},
-            "lossy": {"legacy": 900, "streaming_none": 450},
-        },
         "campaign": {
             "per_run": {"steps_per_second": 10_000.0},
             "batched": {"steps_per_second": 35_000.0},
         },
+        "live": {
+            "lanes_1": {"messages_per_second": 100.0},
+            "lanes_8": {"messages_per_second": 550.0},
+        },
+        "stabilization": {
+            "plain": {"steps_per_second": 200.0},
+            "monitored": {"steps_per_second": 160.0},
+        },
+        "kernel": {
+            "reliable": {"steps_speedup_median": 6.0},
+            "lossy": {"steps_speedup_median": 4.5},
+        },
+        "relay": {
+            "line_1": {"messages_per_second": 400.0, "hops": 1},
+            "line_4": {"messages_per_second": 120.0, "hops": 4,
+                       "efficiency_median": 1.25},
+        },
+        "relay_kernel": {"kernel": {"speedup_median": 4.4}},
+        "relay_stripe": {"paths_1": {"ticks": 90}, "paths_2": {"ticks": 50}},
     }
     ratios = gate_ratios(results)
     assert ratios == {
-        "steps_speedup_reliable": pytest.approx(1.5),
-        "steps_speedup_lossy": pytest.approx(1.5),
-        "memory_reduction_reliable": pytest.approx(2.0),
-        "memory_reduction_lossy": pytest.approx(2.0),
         "campaign_dispatch_speedup": pytest.approx(3.5),
+        "live_lane_speedup": pytest.approx(5.5),
+        "stabilization_overhead": pytest.approx(0.8),
+        "kernel_steps_speedup": pytest.approx(6.0),
+        "kernel_steps_speedup_lossy": pytest.approx(4.5),
+        "relay_hop_efficiency": pytest.approx(1.25),
+        "relay_kernel_speedup": pytest.approx(4.4),
+        "relay_stripe_speedup": pytest.approx(1.8),
     }
+    assert set(ratios) == set(_GATE_KEYS)
 
 
 def test_gate_ratios_without_campaign_results():
     # Payloads predating the campaign benchmark still produce the other
-    # ratios instead of KeyError-ing.
+    # ratios instead of KeyError-ing, and so does a relay leg recorded
+    # before it took paired medians.
     results = {
-        "macro": {
-            workload: {
-                "legacy": {"steps_per_second": 100.0},
-                "streaming_none": {"steps_per_second": 150.0},
-            }
-            for workload in ("reliable", "lossy")
+        "stabilization": {
+            "plain": {"steps_per_second": 200.0},
+            "monitored": {"steps_per_second": 160.0},
         },
-        "memory": {
-            workload: {"legacy": 600, "streaming_none": 300}
-            for workload in ("reliable", "lossy")
+        "relay": {
+            "line_1": {"messages_per_second": 400.0, "hops": 1},
+            "line_4": {"messages_per_second": 120.0, "hops": 4},
         },
     }
     ratios = gate_ratios(results)
     assert "campaign_dispatch_speedup" not in ratios
-    assert ratios["steps_speedup_reliable"] == pytest.approx(1.5)
+    assert "relay_hop_efficiency" not in ratios
+    assert ratios["stabilization_overhead"] == pytest.approx(0.8)
+
+
+def test_timed_pairs_warm_up_then_alternate_with_collection_paused():
+    assert gc.isenabled()
+    calls = []
+
+    def side(name):
+        def run(seed):
+            calls.append((name, seed, gc.isenabled()))
+            return 0.5, seed
+
+        return run
+
+    pairs = bench._timed_pairs(side("a"), side("b"), [1, 2], warm_seed=0)
+    assert calls == [
+        ("a", 0, True), ("b", 0, True),
+        ("a", 1, False), ("b", 1, False),
+        ("a", 2, False), ("b", 2, False),
+    ]
+    assert pairs == [(0.5, 1, 0.5, 1), (0.5, 2, 0.5, 2)]
+    assert gc.isenabled()
+
+    def fails_when_timed(seed):
+        if seed:
+            raise RuntimeError("leg failed")
+        return 0.5, seed
+
+    with pytest.raises(RuntimeError):
+        bench._timed_pairs(side("a"), fails_when_timed, [1], warm_seed=0)
+    assert gc.isenabled()
+
+
+def test_relay_hop_efficiency_is_four_times_the_median_pair_ratio(monkeypatch):
+    four_hop_walls = cycle([2.0, 4.0, 8.0])
+
+    def fake_run(spec, seed):
+        if spec.size == 1:
+            return 1.0, 10
+        return next(four_hop_walls), 40
+
+    monkeypatch.setattr(bench, "_fabric_run", fake_run)
+    stats = bench._bench_relay(messages=5, base_seed=0)
+    # Per-pair 1-hop/4-hop wall ratios are 0.5, 0.25 and 0.125 in turn.
+    assert stats["line_4"]["efficiency_median"] == pytest.approx(1.0)
+    assert gate_ratios({"relay": stats}) == {
+        "relay_hop_efficiency": pytest.approx(1.0)
+    }
+    assert stats["line_1"]["pairs"] == bench._RELAY_PAIRS
+    assert stats["line_1"]["messages_per_second"] == pytest.approx(5.0)
+    assert stats["line_4"]["ticks"] == 40
 
 
 def test_check_regression_passes_within_threshold():
@@ -99,12 +164,12 @@ def test_check_regression_passes_within_threshold():
 
 def test_check_regression_flags_a_drop():
     failures = check_regression(full_ratios(1.0), full_ratios(1.4))
-    assert len(failures) == 4
+    assert len(failures) == GATED
     assert all("fell below" in failure for failure in failures)
 
 
 def test_check_regression_flags_missing_current_ratio():
-    current = payload_with_ratios(steps_speedup_reliable=1.4)
+    current = payload_with_ratios(campaign_dispatch_speedup=1.4)
     failures = check_regression(current, full_ratios(1.4))
     assert any("missing" in failure for failure in failures)
 
@@ -157,7 +222,7 @@ def test_hosts_match_compares_recorded_hosts():
 def test_compare_payloads_same_host_keeps_failures():
     baseline = hosted(full_ratios(1.4))
     failures, warnings = compare_payloads(hosted(full_ratios(1.0)), baseline)
-    assert len(failures) == 4
+    assert len(failures) == GATED
     assert warnings == []
 
 
@@ -167,7 +232,7 @@ def test_compare_payloads_cross_host_demotes_relative_to_warnings():
     failures, warnings = compare_payloads(current, baseline)
     assert failures == []
     # The demoted shortfalls plus one explanatory preamble.
-    assert len(warnings) == 5
+    assert len(warnings) == GATED + 1
     assert "host" in warnings[0]
 
 
@@ -191,14 +256,13 @@ def test_dump_load_round_trip(tmp_path):
 
 def test_committed_bench_core_passes_its_own_gate():
     # The committed baseline must be self-consistent: its ratios compared
-    # against itself always pass, and they carry every gated key.
+    # against itself always pass, and they are exactly the gated keys — a
+    # retired gate's ratio left behind fails here, as does a gate with no
+    # baseline.
     baseline = load(str(Path(__file__).resolve().parents[2] / "BENCH_core.json"))
     assert check_regression(baseline, baseline) == []
+    assert set(baseline["ratios"]) == set(_GATE_KEYS)
     for key in (
-        "steps_speedup_reliable",
-        "steps_speedup_lossy",
-        "memory_reduction_reliable",
-        "memory_reduction_lossy",
         "campaign_dispatch_speedup",
         "kernel_steps_speedup",
         "kernel_steps_speedup_lossy",

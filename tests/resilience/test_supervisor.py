@@ -182,60 +182,3 @@ def test_render_lists_every_status_and_label(strawman_spec):
     assert "strawman" in text
     assert "non-ok runs" in text
 
-
-def test_shared_memory_transport_matches_pickled_fingerprint(paper_spec):
-    config_shm = CampaignConfig(jobs=2)
-    config_pickle = CampaignConfig(jobs=2, shared_memory=False)
-    config_serial = CampaignConfig(in_process=True)
-    shm = run_campaign(paper_spec, 4, base_seed=3, config=config_shm)
-    pickled = run_campaign(paper_spec, 4, base_seed=3, config=config_pickle)
-    serial = run_campaign(paper_spec, 4, base_seed=3, config=config_serial)
-    assert shm.fingerprint() == pickled.fingerprint() == serial.fingerprint()
-
-
-def test_shard_pack_unpack_round_trip(paper_spec):
-    from repro.resilience.supervisor import (
-        _SHM_TAG,
-        _pack_shard_reports,
-        _unpack_shard_result,
-        decode_report,
-        encode_report,
-    )
-
-    clean = [
-        execute_attempt(
-            paper_spec, None, i, derive_run_seed(0, i, 0), None, capture_trace=False
-        )
-        for i in range(3)
-    ]
-    messy = dataclasses.replace(
-        clean[0],
-        index=3,
-        status=RunStatus.SAFETY_FAILED,
-        violations=("order",),
-    )
-    reports = clean + [messy]
-    packed = _pack_shard_reports(reports)
-    if packed is None:
-        pytest.skip("shared memory unavailable on this host")
-    assert packed[0] == _SHM_TAG
-    assert packed[2] == 3  # clean reports ride the segment
-    assert len(packed[4]) == 1  # the messy one rides the pickle path
-    round_tripped = _unpack_shard_result(packed)
-    # The shm transport must be observationally identical to the legacy
-    # pickled wire codec (both omit attempts/deaths; the parent stamps those).
-    assert [r.fingerprint() for r in round_tripped] == [
-        decode_report(encode_report(r)).fingerprint() for r in reports
-    ]
-    # Fields outside the fingerprint survive too.
-    assert round_tripped[0].metrics is not None
-    assert round_tripped[0].metrics.to_wire() == clean[0].metrics.to_wire()
-    assert round_tripped[0].duration == clean[0].duration
-    assert round_tripped[3].violations == ("order",)
-
-
-def test_shard_pack_declines_irregular_shards():
-    from repro.resilience.supervisor import _pack_shard_reports
-
-    crashed = RunReport(index=0, seed=1, status=RunStatus.CRASHED, error="boom")
-    assert _pack_shard_reports([crashed]) is None
