@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.resilience.faultplan import FaultPlan, LinkDownWindow
 from repro.transport import FabricRun, FabricSpec
-from repro.transport.network import disjoint_routes, ring_network
+from repro.transport.network import ring_network
 
 SEED = 0
 MESSAGES = 60
@@ -58,7 +58,7 @@ def run_fabric(title: str, paths: int, plan: FaultPlan) -> FabricRun:
 
 def main() -> None:
     net = ring_network(8)
-    routes = disjoint_routes(net.graph, net.source, net.destination, 2)
+    routes = net.disjoint_routes(2)
     print("ring-8 vertex-disjoint routes "
           f"({net.source} -> {net.destination}):")
     for route in routes:

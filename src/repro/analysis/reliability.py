@@ -45,7 +45,7 @@ def connected_up_sets(network: "Network") -> List[int]:
     The network's link flags are set to each up-set in turn and restored
     afterwards; the routes searched along the way stay in its memo.
     """
-    states = [network.link(a, b) for a, b in network.graph.edges()]
+    states = [network.link(a, b) for a, b in network.edges]
     links = len(states)
     if links > MAX_LINKS:
         raise ConfigurationError(

@@ -73,7 +73,6 @@ from repro.transport.network import (
     Network,
     UpKey,
     check_rates,
-    disjoint_routes,
     line_network,
     mesh_network,
     ring_network,
@@ -370,15 +369,10 @@ class FabricRun:
         self.trace.subscribe(self.monitor.observe, types=self.monitor.observed_types)
 
         # One protocol instance per *directed* edge: TM at u, RM at v.
-        # ``_edge_state`` doubles each undirected LinkState under both
-        # orientations so hot-path up checks are one dict hit instead of
-        # Network.link's normalise-and-lookup.
         self.links: Dict[Tuple[object, object], _LinkSimulator] = {}
-        self._edge_state: Dict[Tuple[object, object], LinkState] = {}
-        for a, b in self.network.graph.edges():
+        for a, b in self.network.edges:
             state = self.network.link(a, b)
             for u, v in ((a, b), (b, a)):
-                self._edge_state[(u, v)] = state
                 self.links[(u, v)] = _LinkSimulator(
                     wire=_LinkAdversary(state),
                     seed=split_seed(seed, "fabric-link", repr(u), repr(v)),
@@ -393,28 +387,25 @@ class FabricRun:
         # interior to at most one stripe, so relays infer their stripe
         # from their own identity — no frame-format change.  paths=1 (or
         # a topology with a single route) leaves behaviour bit-identical
-        # to the unstriped fabric.
-        self._stripes: Optional[List[List]] = None
-        self._stripe_next: Dict[object, object] = {}
+        # to the unstriped fabric.  Each stripe is kept as its first hop
+        # and that hop's link, each relay's stripe successor likewise.
+        self._stripes: Optional[List[Tuple[object, LinkState]]] = None
+        self._stripe_next: Dict[object, Tuple[object, LinkState]] = {}
         if spec.paths > 1:
-            routes = disjoint_routes(
-                self.network.graph,
-                self.network.source,
-                self.network.destination,
-                spec.paths,
-            )
+            routes = self.network.disjoint_routes(spec.paths)
             if len(routes) > 1:
-                self._stripes = routes
+                link = self.network.link
+                self._stripes = [(route[1], link(*route[:2])) for route in routes]
                 for route in routes:
-                    for i in range(1, len(route) - 1):
-                        self._stripe_next[route[i]] = route[i + 1]
+                    for a, b in zip(route[1:-1], route[2:]):
+                        self._stripe_next[a] = (b, link(a, b))
 
         # Every node forwards transit frames, the endpoints included: a
         # detour can hand a data frame back to the source or an ack to
         # the destination, which then relay it like any other node.
         src, dst = self.network.source, self.network.destination
         self.queues: Dict[object, Deque[Tuple[bytes, int]]] = {
-            node: deque() for node in self.network.graph.nodes()
+            node: deque() for node in self.network.nodes
         }
         # Delivery drain plan: (delivered deque, lands-at-destination,
         # lands-at-source, transit queue) per directed hop, so the
@@ -470,7 +461,7 @@ class FabricRun:
                 )
                 windows.append(event)
             elif isinstance(event, RelayCrashAt):
-                if event.node not in self.network.graph:
+                if event.node not in self.network.nodes:
                     raise ConfigurationError(
                         f"relay_crash names unknown node {event.node!r}"
                     )
@@ -498,7 +489,7 @@ class FabricRun:
                 state.up = True  # deterministic heal closes the partition
         self._up_key = None
         route = self._route
-        if route is not None and not self._route_up(route):
+        if route is not None and not self.network.path_up(route):
             self._route = None
             self.reroutes += 1
         for node in self._crashes.get(tick, ()):
@@ -527,15 +518,6 @@ class FabricRun:
         if key is None:
             key = self._up_key = self.network.up_key()
         return self.network.route(origin, target, key)
-
-    def _route_up(self, route: List) -> bool:
-        edge_state = self._edge_state
-        a = route[0]
-        for b in route[1:]:
-            if not edge_state[(a, b)].up:
-                return False
-            a = b
-        return True
 
     def _ensure_route(self) -> Optional[List]:
         # A cached route is always up here: link state only changes in
@@ -576,52 +558,30 @@ class FabricRun:
     def _stripe_hop(self, seq: int) -> Optional[object]:
         """First hop for ``seq``'s stripe, falling back to dynamic routing."""
         stripes = self._stripes
-        route = stripes[seq % len(stripes)]
-        src = self.network.source
-        first = route[1]
-        if self._edge_state[(src, first)].up:
+        first, state = stripes[seq % len(stripes)]
+        if state.up:
             return first
-        return self._next_hop(src, toward_destination=True)
+        return self._next_hop(self.network.source, toward_destination=True)
 
     def _source_phase(self, tick: int) -> None:
         spec = self.spec
         src = self.network.source
-        if self._stripes is not None:
-            while (
-                self._next_seq < spec.messages
-                and self._next_seq - self._base < spec.window
-            ):
-                seq = self._next_seq
-                hop = self._stripe_hop(seq)
-                if hop is None:
-                    return  # partitioned at the source; retry next tick
-                self.trace.append(make_send_msg(self._body(seq)))
-                self.links[(src, hop)].push_frame(DATA, seq)
-                self._sent_at[seq] = tick
-                self._next_seq += 1
-            if tick - self._rto_guard >= spec.rto:
-                sent_at = self._sent_at
-                for seq in range(self._base, self._next_seq):
-                    if tick - sent_at[seq] >= spec.rto:
-                        hop = self._stripe_hop(seq)
-                        if hop is None:
-                            continue
-                        self.links[(src, hop)].push_frame(DATA, seq)
-                        sent_at[seq] = tick
-                        self.retransmits += 1
-                self._rto_guard = min(sent_at.values()) if sent_at else tick
-            return
-        hop = self._next_hop(src, toward_destination=True)
-        if hop is None:
-            return  # partitioned at the source; retry next tick
-        link = self.links[(src, hop)]
+        links = self.links
+        striped = self._stripes is not None
+        # Unstriped, the route is read at the top of every tick, sending or
+        # not: the cached route holds while it stays up, so the tick of
+        # that first read decides the path.
+        route_hop = None if striped else self._next_hop(src, toward_destination=True)
         while (
             self._next_seq < spec.messages
             and self._next_seq - self._base < spec.window
         ):
             seq = self._next_seq
+            hop = self._stripe_hop(seq) if striped else route_hop
+            if hop is None:
+                return  # partitioned at the source; retry next tick
             self.trace.append(make_send_msg(self._body(seq)))
-            link.push_frame(DATA, seq)
+            links[(src, hop)].push_frame(DATA, seq)
             self._sent_at[seq] = tick
             self._next_seq += 1
         # The guard is a lower bound on min(sent_at): the scan only runs
@@ -630,7 +590,10 @@ class FabricRun:
             sent_at = self._sent_at
             for seq in range(self._base, self._next_seq):
                 if tick - sent_at[seq] >= spec.rto:
-                    link.push_frame(DATA, seq)
+                    hop = self._stripe_hop(seq) if striped else route_hop
+                    if hop is None:
+                        continue
+                    links[(src, hop)].push_frame(DATA, seq)
                     sent_at[seq] = tick
                     self.retransmits += 1
             self._rto_guard = min(sent_at.values()) if sent_at else tick
@@ -702,8 +665,8 @@ class FabricRun:
                 hop = None
                 if stripe_next is not None and kind == DATA:
                     nxt = stripe_next.get(node)
-                    if nxt is not None and self._edge_state[(node, nxt)].up:
-                        hop = nxt
+                    if nxt is not None and nxt[1].up:
+                        hop = nxt[0]
                 if hop is None:
                     hop = self._next_hop(node, toward_destination=kind == DATA)
                 if hop is None:

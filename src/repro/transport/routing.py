@@ -94,7 +94,7 @@ class FloodingRelay(RelayStrategy):
         while frontier:
             next_frontier: List[Tuple[object, int]] = []
             for node, depth in frontier:
-                for neighbour in up.neighbors(node):
+                for neighbour in up[node]:
                     edge = frozenset((node, neighbour))
                     if edge in traversed:
                         continue
@@ -124,9 +124,7 @@ class PathRelay(RelayStrategy):
     :attr:`reroutes` — and the packet rides the recomputed path instead of
     dying at the dead hop.  Only when *no* up path exists is the packet
     lost; the data link's retransmission machinery is what recovers then,
-    exactly the division of labour the paper describes.  Callers that
-    observe link failures directly (the fabric's topology events) can
-    invalidate eagerly via :meth:`on_link_down`.
+    exactly the division of labour the paper describes.
     """
 
     def __init__(self, network: Network) -> None:
@@ -140,26 +138,10 @@ class PathRelay(RelayStrategy):
         """The cached route for a direction (None until first use)."""
         return self._paths.get(direction)
 
-    def on_link_down(self, a, b) -> None:
-        """Eagerly drop any cached route that crossed the failed link."""
-        failed = frozenset((a, b))
-        for direction, path in self._paths.items():
-            if path is not None and any(
-                frozenset(hop) == failed for hop in zip(path, path[1:])
-            ):
-                self._paths[direction] = None
-                self.reroutes += 1
-
-    def _path_up(self, path: List) -> bool:
-        return all(
-            self.network.link_up(hop_from, hop_to)
-            for hop_from, hop_to in zip(path, path[1:])
-        )
-
     def inject(self, token, now, direction, rng) -> List[Arrival]:
         origin, target = self.endpoints(direction)
         path = self._paths[direction]
-        if path is not None and not self._path_up(path):
+        if path is not None and not self.network.path_up(path):
             # Stale route: a transit link went down after it was cached.
             # Repair *before* sending so the packet takes the fresh path
             # instead of being sacrificed to discover the failure.

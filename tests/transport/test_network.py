@@ -50,7 +50,7 @@ class TestLinkState:
 
 def _reference_tick(net: Network, rng: RandomSource) -> None:
     """The Markov step as one ``RandomSource.bernoulli`` per link, in link order."""
-    for a, b in net.graph.edges():
+    for a, b in net.edges:
         state = net.link(a, b)
         if state.up:
             if state.fail_rate and rng.bernoulli(state.fail_rate):
@@ -80,9 +80,9 @@ class TestMarkovTape:
     def test_tick_draws_the_reference_tape(self, build):
         nets = build(), build()
         for net in nets:
-            for i, (a, b) in enumerate(net.graph.edges()):
+            for i, (a, b) in enumerate(net.edges):
                 net.configure_link(a, b, **_LINK_RATES[i % len(_LINK_RATES)])
-        edges = list(nets[0].graph.edges())
+        edges = list(nets[0].edges)
         rngs = RandomSource(2024), RandomSource(2024)
         for tick in range(2000):
             if tick == 1000:
@@ -121,19 +121,33 @@ class TestTopologies:
 
 class TestNetwork:
     def test_rejects_disconnected_graph(self):
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1, 2])
-        graph.add_edge(0, 1)
         with pytest.raises(ConfigurationError):
-            Network(graph, source=0, destination=2)
+            Network([0, 1, 2], [(0, 1)], source=0, destination=2)
 
     def test_rejects_same_endpoints(self):
         with pytest.raises(ConfigurationError):
-            Network(nx.path_graph(3), source=1, destination=1)
+            Network([0, 1, 2], [(0, 1), (1, 2)], source=1, destination=1)
 
     def test_rejects_foreign_endpoints(self):
         with pytest.raises(ConfigurationError):
-            Network(nx.path_graph(3), source=0, destination=99)
+            Network([0, 1, 2], [(0, 1), (1, 2)], source=0, destination=99)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 3)],  # 3 is not a node
+        [(0, 1), (1, 1), (1, 2)],  # a loop
+        [(0, 1), (1, 2), (2, 1)],  # one link twice
+    ], ids=["unknown-node", "loop", "repeat"])
+    def test_rejects_malformed_links(self, edges):
+        with pytest.raises(ConfigurationError):
+            Network([0, 1, 2], edges, source=0, destination=2)
+
+    def test_path_up(self):
+        net = ring_network(6)
+        assert net.path_up([0, 1, 2, 3])
+        net.configure_link(2, 1, up=False)
+        assert not net.path_up([0, 1, 2, 3])
+        assert not net.path_up([3, 2, 1, 0])
+        assert net.path_up([0, 5, 4, 3])
 
     def test_link_lookup_and_configure(self):
         net = line_network(3)
@@ -181,3 +195,57 @@ class TestNetwork:
         net = line_network(5, fail_rate=1.0, repair_rate=0.0)
         net.tick(RandomSource(0))
         assert all(not net.link_up(i, i + 1) for i in range(5))
+
+
+# -- the builders against networkx, the route oracle ---------------------------------
+
+
+def _nx_disjoint_routes(graph, source, destination, k):
+    """Greedy shortest-first vertex-disjoint routes, searched by networkx."""
+    work = graph.copy()
+    routes = []
+    while len(routes) < k:
+        try:
+            route = nx.shortest_path(work, source, destination)
+        except nx.NetworkXNoPath:
+            break
+        routes.append(route)
+        if len(route) == 2:
+            work.remove_edge(source, destination)
+        else:
+            work.remove_nodes_from(route[1:-1])
+    return routes
+
+
+def _with_networkx_twin(kind: str, size: int):
+    if kind == "line":
+        return line_network(size), nx.path_graph(size + 1)
+    if kind == "ring":
+        return ring_network(size), nx.cycle_graph(size)
+    return mesh_network(size), nx.grid_2d_graph(size, size)
+
+
+TOPOLOGIES = (
+    [("line", hops) for hops in range(1, 9)]
+    + [("ring", nodes) for nodes in range(3, 13)]
+    + [("mesh", side) for side in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, size", TOPOLOGIES, ids=[f"{kind}{size}" for kind, size in TOPOLOGIES]
+)
+def test_builders_match_networkx(kind, size):
+    """Node, link and neighbour order, and the disjoint routes, are those
+    of the networkx graph the recorded runs were made with."""
+    net, graph = _with_networkx_twin(kind, size)
+    assert list(net.nodes) == list(graph.nodes())
+    assert list(net.edges) == list(graph.edges())
+    linked = nx.Graph()
+    linked.add_nodes_from(graph.nodes())
+    linked.add_edges_from(graph.edges())
+    assert net.up_subgraph() == {node: list(linked[node]) for node in linked}
+    for k in range(1, 5):
+        assert net.disjoint_routes(k) == _nx_disjoint_routes(
+            graph, net.source, net.destination, k
+        ), k

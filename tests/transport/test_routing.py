@@ -116,24 +116,6 @@ class TestPathRelay:
         assert new_path is not None
         assert (path[0], path[1]) not in zip(new_path, new_path[1:])
 
-    def test_on_link_down_invalidates_eagerly(self):
-        net = ring_network(8)
-        relay = PathRelay(net)
-        relay.inject("a", now=0, direction="fwd", rng=RNG)
-        path = relay.current_path("fwd")
-        net.configure_link(path[1], path[2], up=False)
-        relay.on_link_down(path[1], path[2])
-        assert relay.current_path("fwd") is None
-        assert relay.reroutes == 1
-        # An unrelated link's failure leaves the (re)computed cache alone.
-        arrivals = relay.inject("b", now=1, direction="fwd", rng=RNG)
-        assert len(arrivals) == 1
-        before = relay.reroutes
-        other = relay.current_path("rev")  # None — not affected either
-        relay.on_link_down(path[1], path[2])
-        assert relay.reroutes == before
-        assert other is None
-
     def test_recovered_path_delivers(self):
         net = ring_network(8)
         relay = PathRelay(net)

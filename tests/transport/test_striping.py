@@ -1,9 +1,10 @@
 """Multi-path striping: disjoint route discovery and striped delivery.
 
 Covers the two layers of the ``paths=K`` feature: the greedy
-vertex-disjoint route finder (:func:`disjoint_routes`) and the fabric's
-frame striping over those routes, including the end-to-end CLEAN verdict
-under link faults and the protocol-time win that the bench gates.
+vertex-disjoint route finder (:meth:`Network.disjoint_routes`) and the
+fabric's frame striping over those routes, including the end-to-end
+CLEAN verdict under link faults and the protocol-time win that the bench
+gates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.resilience.faultplan import LinkDownWindow
 from repro.transport.fabric import FabricRun, FabricSpec
 from repro.transport.network import (
-    disjoint_routes,
+    Network,
     line_network,
     mesh_network,
     ring_network,
@@ -29,28 +30,28 @@ class TestDisjointRoutes:
     def test_k_below_one_rejected(self):
         net = ring_network(6)
         with pytest.raises(ConfigurationError):
-            disjoint_routes(net.graph, net.source, net.destination, 0)
+            net.disjoint_routes(0)
 
     def test_unknown_endpoint_rejected(self):
         net = line_network(3)
         with pytest.raises(ConfigurationError):
-            disjoint_routes(net.graph, net.source, "nope", 2)
+            Network(net.nodes, net.edges, net.source, "nope").disjoint_routes(2)
 
     def test_line_degrades_to_single_route(self):
         net = line_network(5)
-        routes = disjoint_routes(net.graph, net.source, net.destination, 4)
+        routes = net.disjoint_routes(4)
         assert routes == [[0, 1, 2, 3, 4, 5]]
 
     def test_ring_yields_two_disjoint_arcs(self):
         net = ring_network(8)
-        routes = disjoint_routes(net.graph, net.source, net.destination, 4)
+        routes = net.disjoint_routes(4)
         assert len(routes) == 2
         assert not _interiors(routes[0]) & _interiors(routes[1])
 
     @pytest.mark.parametrize("side", range(3, 9))
     def test_mesh_routes_vertex_disjoint(self, side):
         net = mesh_network(side)
-        routes = disjoint_routes(net.graph, net.source, net.destination, 4)
+        routes = net.disjoint_routes(4)
         # Corner-to-corner on a grid: the corner degree (2) caps the count.
         assert len(routes) == 2
         seen = set()
@@ -62,17 +63,17 @@ class TestDisjointRoutes:
             seen |= interior
             # Every consecutive pair must be a real edge.
             for a, b in zip(route, route[1:]):
-                assert net.graph.has_edge(a, b)
+                assert net.link(a, b)
 
     def test_shortest_route_first(self):
         net = ring_network(8)
-        routes = disjoint_routes(net.graph, net.source, net.destination, 2)
+        routes = net.disjoint_routes(2)
         assert len(routes[0]) <= len(routes[1])
 
     def test_deterministic(self):
         net = mesh_network(4)
-        first = disjoint_routes(net.graph, net.source, net.destination, 3)
-        second = disjoint_routes(net.graph, net.source, net.destination, 3)
+        first = net.disjoint_routes(3)
+        second = net.disjoint_routes(3)
         assert first == second
 
 
