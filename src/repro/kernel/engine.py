@@ -519,15 +519,12 @@ def step_loop(sim, feed=None, gate=None):
     # Simulator loop slots.
     steps = sim._steps
     max_steps = sim._max_steps
-    # The RETRY and storage cadences as the steps they next fire at
-    # (``sample_at`` is -1 while sampling is off); the sync turns them
-    # back into the object engine's countdowns.
+    # The RETRY and storage cadences as the steps they next fire at; the
+    # sync turns them back into the object engine's countdowns.
     retry_every = sim._retry_every
     retry_at = steps + sim._retry_countdown
     storage_sample_every = sim._storage_sample_every
-    sample_at = (
-        steps + sim._storage_countdown if sim._storage_countdown else -1
-    )
+    sample_at = steps + sim._storage_countdown
     next_message = sim._next_message
     workload_exhausted = sim._workload_exhausted
     message_iter = sim._message_iter
@@ -733,7 +730,7 @@ def step_loop(sim, feed=None, gate=None):
                                         t_rnl = r_rho_l
                                         t_iseen = r_i - 1
                                     ts_ign += k - taken
-                            if 0 < sample_at <= stop:
+                            if sample_at <= stop:
                                 sample_at += (
                                     (stop - sample_at) // storage_sample_every
                                     + 1
@@ -755,7 +752,7 @@ def step_loop(sim, feed=None, gate=None):
                         # counter), so skip every step before the next
                         # RETRY or storage sample in O(1).
                         n = retry_at - 1
-                        if 0 < sample_at <= n:
+                        if sample_at <= n:
                             n = sample_at - 1
                         if n > stop:
                             n = stop
@@ -1564,7 +1561,7 @@ def step_loop(sim, feed=None, gate=None):
         sim._steps = steps
         sim._tx_busy = t_busy
         sim._retry_countdown = retry_at - steps
-        sim._storage_countdown = sample_at - steps if sample_at > 0 else 0
+        sim._storage_countdown = sample_at - steps
         sim._next_message = next_message
         sim._workload_exhausted = workload_exhausted
         # Packet counts are the channel deltas: tallied when unrecorded,

@@ -19,7 +19,7 @@ from repro.checkers.streaming import StreamingChecks
 from repro.core.protocol import DataLink, make_data_link
 from repro.core.random_source import split_seed
 from repro.sim.metrics import SimulationMetrics
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult, Simulator, check_engine
 from repro.sim.workload import SequentialWorkload, Workload
 from repro.util.stats import BernoulliEstimate, wilson_interval
 
@@ -73,6 +73,9 @@ class RunSpec:
     # Execution engine: "object" (classic loop) or "kernel" (flat
     # slot-indexed step kernel; identical executions, several times faster).
     engine: str = "object"
+
+    def __post_init__(self) -> None:
+        check_engine(self.engine)
 
     @classmethod
     def default(
@@ -324,46 +327,17 @@ class MonteCarloResult:
         return sum(o.metrics.checker_seconds for o in self.outcomes) / wall
 
 
-def monte_carlo(
-    spec: RunSpec,
-    runs: int,
-    base_seed: int = 0,
-    parallel: bool = False,
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    chunk_size: Optional[int] = None,
-):
-    """Run ``runs`` independent simulations of ``spec`` and aggregate.
+def monte_carlo(spec: RunSpec, runs: int, base_seed: int = 0) -> MonteCarloResult:
+    """Run ``runs`` independent simulations of ``spec`` serially and aggregate.
 
-    With ``parallel=False`` (the default) every run executes serially
-    in-process and the return value is a :class:`MonteCarloResult`.  With
-    ``parallel=True`` the batch is delegated to the fault-tolerant campaign
-    supervisor (worker processes, sharded dispatch with ``chunk_size`` runs
-    per pool task, per-run ``timeout``, bounded ``retries``) and the return
-    value is a :class:`~repro.resilience.supervisor.CampaignResult`, which
-    exposes the same aggregate properties (violation rates, completion
-    rate, ...) while additionally reporting per-status counts for runs that
-    produced no data.
-
-    Both paths run the *same* spec (factories, retention, budgets) under
-    the same per-run seeds (:func:`derive_run_seed`), so per-seed verdicts
-    are identical serial vs parallel for any ``jobs``/``chunk_size``.
+    Every outcome is kept, so the result pools per-condition trials across
+    runs.  Run seeds come from :func:`derive_run_seed`, as in
+    :func:`~repro.resilience.supervisor.run_campaign`, which runs the same
+    spec in worker processes (with timeouts and retries) and reaches the
+    same per-seed verdicts.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    if parallel:
-        import os
-
-        from repro.resilience.supervisor import CampaignConfig, run_campaign
-
-        config = CampaignConfig(
-            jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-            timeout=timeout,
-            retries=retries,
-            chunk_size=chunk_size,
-        )
-        return run_campaign(spec, runs, base_seed=base_seed, config=config)
     # Fresh objects per run (not a RunSession): MonteCarloResult keeps every
     # outcome alive, so their traces must not share one recycled simulator.
     outcomes = [run_once(spec, derive_run_seed(base_seed, i, 0)) for i in range(runs)]

@@ -1,6 +1,8 @@
 """The execution harness: composes ``D(A, ADV)`` and runs it.
 
-This is the operational form of Figure 1.  One :class:`Simulator` owns:
+This is Figure 1's composition of I/O automata, each automaton an object,
+and the reference the step kernel (``engine="kernel"``) is pinned to event
+for event.  One :class:`Simulator` owns:
 
 * a :class:`~repro.core.protocol.DataLink` (the pair ``A = (A^t, A^r)``);
 * a :class:`~repro.channel.ChannelPair` (``C^{T→R}`` and ``C^{R→T}``);
@@ -71,9 +73,15 @@ from repro.core.random_source import RandomSource
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.workload import Workload
 
-__all__ = ["SimulationResult", "Simulator"]
+__all__ = ["SimulationResult", "Simulator", "check_engine"]
 
 _T_TO_R = ChannelId.T_TO_R
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` names an execution engine."""
+    if engine not in ("object", "kernel"):
+        raise ValueError(f"engine must be 'object' or 'kernel', got {engine!r}")
 
 
 @dataclass
@@ -130,18 +138,14 @@ class Simulator:
         Trace retention mode (see :class:`~repro.checkers.trace.Trace`).
         ``"full"`` keeps the whole execution; ``"tail"`` a bounded ring of
         the most recent ``tail_size`` events; ``"none"`` counters only.
+        It also sets the storage probe: under ``"full"`` the stations'
+        storage footprint is sampled every step and the series is kept
+        (the experiments need it); otherwise it is sampled every 16 steps
+        for the peak alone (accurate to within a message's growth), so
+        campaigns pay no per-step probe.
     checks:
         An optional :class:`StreamingChecks` suite subscribed to the trace
         so the Section 2.6 conditions are evaluated online during the run.
-    storage_sample_every:
-        Sample the stations' storage footprint every this many steps.
-        Default: every step under ``retain="full"`` (the experiments'
-        series need that), every 16 steps otherwise (the peak stays
-        accurate to within a message's growth; the campaign path doesn't
-        pay a per-step probe).  ``0`` disables periodic sampling entirely.
-    keep_storage_samples:
-        Forwarded to :class:`MetricsCollector`; default keeps the series
-        only under ``retain="full"``.
     engine:
         ``"object"`` runs the classic per-object loop below; ``"kernel"``
         runs the flat slot-indexed step kernel (:mod:`repro.kernel`),
@@ -165,31 +169,20 @@ class Simulator:
         retain: str = "full",
         tail_size: int = 256,
         checks: Optional[StreamingChecks] = None,
-        storage_sample_every: Optional[int] = None,
-        keep_storage_samples: Optional[bool] = None,
         engine: str = "object",
     ) -> None:
         if retry_every < 1:
             raise ValueError("retry_every must be >= 1")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if engine not in ("object", "kernel"):
-            raise ValueError(
-                f"engine must be 'object' or 'kernel', got {engine!r}"
-            )
-        if storage_sample_every is None:
-            storage_sample_every = 1 if retain == "full" else 16
-        if storage_sample_every < 0:
-            raise ValueError("storage_sample_every must be >= 0")
-        if keep_storage_samples is None:
-            keep_storage_samples = retain == "full"
+        check_engine(engine)
         self._engine = engine
         self._retry_every = retry_every
         self._max_steps = max_steps
-        self._storage_sample_every = storage_sample_every
+        self._storage_sample_every = 1 if retain == "full" else 16
         self._enforce_fairness = enforce_fairness
         self._fairness_patience = fairness_patience
-        self._keep_storage_samples = keep_storage_samples
+        self._keep_storage_samples = retain == "full"
         self._channels = ChannelPair(on_new_pkt=self._on_new_pkt)
         self._t_to_r = self._channels.t_to_r
         self._r_to_t = self._channels.r_to_t
@@ -362,11 +355,10 @@ class Simulator:
                 deliver(move)
             else:
                 execute(move)
-            if self._storage_countdown:
-                self._storage_countdown -= 1
-                if not self._storage_countdown:
-                    self._storage_countdown = self._storage_sample_every
-                    metrics.sample_storage()
+            self._storage_countdown -= 1
+            if not self._storage_countdown:
+                self._storage_countdown = self._storage_sample_every
+                metrics.sample_storage()
         wall_seconds = perf_counter() - started
         self._flush_tallies()
         checker_seconds = self._checks.checker_seconds if self._checks else 0.0
@@ -386,7 +378,8 @@ class Simulator:
         )
 
     def step(self) -> None:
-        """One simulation step: higher layer, RETRY cadence, adversary move."""
+        """One simulation step: higher layer, RETRY cadence, adversary move,
+        storage probe (the body :meth:`run` inlines)."""
         self._steps += 1
         if not self._tx_busy and self._next_message is not None:
             self._maybe_submit_message()
@@ -399,11 +392,10 @@ class Simulator:
             self._deliver(move)
         else:
             self._execute_move(move)
-        if self._storage_countdown:
-            self._storage_countdown -= 1
-            if not self._storage_countdown:
-                self._storage_countdown = self._storage_sample_every
-                self._metrics.sample_storage()
+        self._storage_countdown -= 1
+        if not self._storage_countdown:
+            self._storage_countdown = self._storage_sample_every
+            self._metrics.sample_storage()
 
     # -- step phases ------------------------------------------------------------------------
 

@@ -688,7 +688,6 @@ class FabricRun:
         """
         spec = self.spec
         started = perf_counter()
-        ack_due = False
         hops = [link.start() for link in self.links.values()]
         kernel_mode = spec.engine == "kernel"
         steps_per_tick = spec.steps_per_tick
@@ -710,10 +709,7 @@ class FabricRun:
                     if hop.active:
                         hop.tick(steps_per_tick)
             if self._drain_deliveries():
-                ack_due = True
-            if ack_due:
                 self._destination_ack_phase()
-                ack_due = False
             self._forward_phase()
         else:
             self.completed = self._base >= spec.messages

@@ -226,14 +226,15 @@ def test_session_invalidates_after_in_run_exception():
 
 
 def test_monte_carlo_serial_vs_parallel_identical_per_seed_verdicts():
-    # The parallel path must forward retention and factories through the
+    # The campaign pool must forward retention and factories through the
     # batched engine: same seeds, same statuses, same per-condition counts.
     spec = make_lossy_spec()
     spec.retain = "tail"
     spec.tail_size = 32
     serial = monte_carlo(spec, runs=5, base_seed=13)
-    parallel = monte_carlo(spec, runs=5, base_seed=13, parallel=True,
-                           jobs=2, chunk_size=2)
+    parallel = run_campaign(
+        spec, 5, base_seed=13, config=CampaignConfig(jobs=2, chunk_size=2)
+    )
     assert parallel.status_counts["ok"] == 5
     for outcome, report in zip(serial.outcomes, parallel.reports):
         assert report.seed == outcome.seed

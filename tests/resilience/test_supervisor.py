@@ -15,7 +15,6 @@ from repro.resilience.supervisor import (
     execute_attempt,
     run_campaign,
 )
-from repro.sim.runner import monte_carlo
 from tests.resilience.conftest import (
     REPRO_BASE_SEED,
     REPRO_RUN_INDEX,
@@ -165,7 +164,9 @@ def test_pool_timeout_interrupts_hung_worker(paper_spec):
 
 
 def test_monte_carlo_parallel_returns_campaign_aggregates(paper_spec):
-    result = monte_carlo(paper_spec, runs=3, base_seed=2, parallel=True, jobs=2)
+    result = run_campaign(
+        paper_spec, 3, base_seed=2, config=CampaignConfig(jobs=2)
+    )
     assert result.completion_rate == 1.0
     assert result.order_violation_rate.trials > 0
     assert not result.any_safety_violation

@@ -74,3 +74,8 @@ class TestMonteCarlo:
         s = RunSpec.default()
         assert s.workload_factory(0).message_count == 20
         assert s.enforce_fairness
+
+    def test_unknown_engine_rejected_at_construction(self):
+        # A misspelt engine fails the spec, not every run built from it.
+        with pytest.raises(ValueError, match="engine must be"):
+            RunSpec.default(engine="kernal")

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.adversary.benign import ReliableAdversary
-from repro.adversary.crash import ScheduledCrashAdversary
+from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
+from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
 from repro.adversary.fairness import FairnessEnforcer, StallingAdversary
-from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
+from repro.adversary.random_faults import (
+    DuplicateFloodAdversary,
+    FaultProfile,
+    RandomFaultAdversary,
+)
 from repro.checkers.axioms import check_axiom1, check_axiom2, check_axiom3_bounded
 from repro.checkers.safety import check_all_safety
 from repro.core.events import Ok, PktDelivered, PktSent, ReceiveMsg, Retry, SendMsg
@@ -190,3 +196,58 @@ class TestHarnessContract:
         indexes = [index for index, _ in seen]
         assert indexes == sorted(set(indexes))
         assert indexes[-1] < trace.total_events
+
+
+STEP_ADVERSARIES = {
+    "reliable": ReliableAdversary,
+    "random-fault": lambda: RandomFaultAdversary(
+        FaultProfile(loss=0.3, duplicate=0.1, reorder=0.1, crash_t=0.01, crash_r=0.01)
+    ),
+    "delayed-fifo": lambda: DelayedFifoAdversary(delay_turns=3),
+    "crash-storm": lambda: CrashStormAdversary(crash_rate=0.05),
+    "duplicate-flood": lambda: DuplicateFloodAdversary(flood=0.5),
+}
+
+
+class TestStepMatchesRun:
+    """``run()`` inlines ``step()``; driving ``step()`` must replay it.
+
+    Both retention modes are covered because they set different storage
+    cadences (every step, and every 16 steps).
+    """
+
+    @staticmethod
+    def build(name, seed, enforce_fairness, retain):
+        return Simulator(
+            make_data_link(epsilon=2.0 ** -16, seed=seed),
+            STEP_ADVERSARIES[name](),
+            SequentialWorkload(20),
+            seed=seed,
+            enforce_fairness=enforce_fairness,
+            max_steps=3_000,
+            retain=retain,
+        )
+
+    @pytest.mark.parametrize("retain", ["full", "none"])
+    @pytest.mark.parametrize("enforce_fairness", [True, False])
+    @pytest.mark.parametrize("name", sorted(STEP_ADVERSARIES))
+    def test_step_reproduces_run(self, name, enforce_fairness, retain):
+        for seed in range(5):
+            expected = self.build(name, seed, enforce_fairness, retain).run()
+            sim = self.build(name, seed, enforce_fairness, retain)
+            while not sim.finished and sim.steps_taken < sim.max_steps:
+                sim.step()
+            steps = sim.steps_taken
+            assert steps == expected.steps
+            assert sim.finished == expected.completed
+            # run() on a drained simulator takes no step; it only freezes
+            # the result, metrics and storage samples included.
+            stepped = sim.run()
+            assert stepped.steps == steps
+            if retain == "full":
+                assert list(stepped.trace.events) == list(expected.trace.events)
+            assert dataclasses.replace(
+                stepped.metrics, wall_seconds=0.0, checker_seconds=0.0
+            ) == dataclasses.replace(
+                expected.metrics, wall_seconds=0.0, checker_seconds=0.0
+            )
