@@ -79,3 +79,9 @@ class TestMonteCarlo:
         # A misspelt engine fails the spec, not every run built from it.
         with pytest.raises(ValueError, match="engine must be"):
             RunSpec.default(engine="kernal")
+
+    @pytest.mark.parametrize("engine", ["object", "kernel"])
+    def test_known_engines_accepted(self, engine):
+        accepted = spec(engine=engine)
+        assert accepted.engine == engine
+        assert run_once(accepted, seed=1).result.completed

@@ -210,14 +210,16 @@ STEP_ADVERSARIES = {
 
 
 class TestStepMatchesRun:
-    """``run()`` inlines ``step()``; driving ``step()`` must replay it.
+    """``run()`` inlines ``step()``; driving ``step()`` must replay it, and
+    ``run()`` must finish an execution that ``step()`` began.
 
-    Both retention modes are covered because they set different storage
-    cadences (every step, and every 16 steps).
+    All three retention modes are covered: ``"full"`` samples storage every
+    step, ``"tail"`` and ``"none"`` every 16 steps, and ``"tail"`` keeps a
+    ring of the most recent events.
     """
 
     @staticmethod
-    def build(name, seed, enforce_fairness, retain):
+    def build(name, seed, enforce_fairness, retain, engine="object"):
         return Simulator(
             make_data_link(epsilon=2.0 ** -16, seed=seed),
             STEP_ADVERSARIES[name](),
@@ -226,9 +228,24 @@ class TestStepMatchesRun:
             enforce_fairness=enforce_fairness,
             max_steps=3_000,
             retain=retain,
+            engine=engine,
         )
 
-    @pytest.mark.parametrize("retain", ["full", "none"])
+    @staticmethod
+    def assert_same_run(got, expected, retain):
+        assert got.steps == expected.steps
+        assert got.completed == expected.completed
+        if retain == "full":
+            assert list(got.trace.events) == list(expected.trace.events)
+        elif retain == "tail":
+            assert got.trace.tail_events() == expected.trace.tail_events()
+        assert dataclasses.replace(
+            got.metrics, wall_seconds=0.0, checker_seconds=0.0
+        ) == dataclasses.replace(
+            expected.metrics, wall_seconds=0.0, checker_seconds=0.0
+        )
+
+    @pytest.mark.parametrize("retain", ["full", "tail", "none"])
     @pytest.mark.parametrize("enforce_fairness", [True, False])
     @pytest.mark.parametrize("name", sorted(STEP_ADVERSARIES))
     def test_step_reproduces_run(self, name, enforce_fairness, retain):
@@ -244,10 +261,20 @@ class TestStepMatchesRun:
             # the result, metrics and storage samples included.
             stepped = sim.run()
             assert stepped.steps == steps
-            if retain == "full":
-                assert list(stepped.trace.events) == list(expected.trace.events)
-            assert dataclasses.replace(
-                stepped.metrics, wall_seconds=0.0, checker_seconds=0.0
-            ) == dataclasses.replace(
-                expected.metrics, wall_seconds=0.0, checker_seconds=0.0
-            )
+            self.assert_same_run(stepped, expected, retain)
+
+    @pytest.mark.parametrize("engine", ["object", "kernel"])
+    @pytest.mark.parametrize("retain", ["full", "tail", "none"])
+    @pytest.mark.parametrize("name", sorted(STEP_ADVERSARIES))
+    def test_run_finishes_stepped_run(self, name, retain, engine):
+        # run() picks up the RETRY and storage countdowns where step() left
+        # them; the kernel takes over the object loop's state mid-execution.
+        for seed in range(3):
+            for enforce_fairness in (True, False):
+                expected = self.build(name, seed, enforce_fairness, retain).run()
+                for prefix in (1, 7, 50):
+                    sim = self.build(name, seed, enforce_fairness, retain, engine)
+                    for _ in range(prefix):
+                        sim.step()
+                    assert not sim.finished
+                    self.assert_same_run(sim.run(), expected, retain)
