@@ -44,6 +44,8 @@ def cost_at(factory, loss):
         # enforcer would resurrect dropped packets out of order, silently
         # breaking the FIFO premise this experiment depends on.
         enforce_fairness=False,
+        # The kernel runs only the GHM stations.
+        engine="object",
     )
     mc = monte_carlo(spec, runs=RUNS, base_seed=int(loss * 100))
     assert mc.completion_rate == 1.0, f"incomplete at loss={loss}"

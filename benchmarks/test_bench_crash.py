@@ -44,9 +44,10 @@ def run_protocol(name, factory):
     for seed in range(RUNS):
         link = factory(seed)
         adversary = CrashStormAdversary(crash_rate=CRASH_RATE, max_crashes=8)
+        # The kernel runs only the GHM stations.
         sim = Simulator(
             link, adversary, SequentialWorkload(MESSAGES), seed=seed,
-            max_steps=40_000,
+            max_steps=40_000, engine="object",
         )
         result = sim.run()
         report = check_all_safety(result.trace)

@@ -37,9 +37,10 @@ def storm(build_link, label: str) -> None:
     for seed in range(RUNS):
         link = build_link(seed)
         adversary = CrashStormAdversary(crash_rate=CRASH_RATE, max_crashes=8)
+        # The kernel runs only the GHM stations.
         simulator = Simulator(
             link, adversary, SequentialWorkload(MESSAGES), seed=seed,
-            max_steps=100_000,
+            max_steps=100_000, engine="object",
         )
         result = simulator.run()
         report = check_all_safety(result.trace)

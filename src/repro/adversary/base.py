@@ -21,10 +21,11 @@ from __future__ import annotations
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.channel.channel import PacketInfo
 from repro.core.events import ChannelId
+from repro.core.exceptions import SimulationError
 from repro.core.random_source import RandomSource
 from repro.util.hotpath import trusted_constructor
 
@@ -42,6 +43,14 @@ __all__ = [
     "CRASH_TRANSMITTER",
     "CRASH_RECEIVER",
     "make_deliver",
+    "MOVE_PASS",
+    "MOVE_CRASH_T",
+    "MOVE_CRASH_R",
+    "MOVE_DELIVER",
+    "MOVE_RETRY",
+    "MOVE_CORRUPT",
+    "MOVE_KINDS",
+    "move_kind",
 ]
 
 # Moves are produced once per simulation step; slot them where the runtime
@@ -125,6 +134,41 @@ CRASH_RECEIVER = CrashReceiver()
 #: Trusted fast constructor for the one hot move that carries fields
 #: (positional: channel, packet_id).
 make_deliver = trusted_constructor(Deliver, "channel", "packet_id")
+
+#: Move kinds: what both engines execute a move as.  Pass and the two
+#: crashes double as the kernel's crash codes (0 none, 1 crash^T,
+#: 2 crash^R).
+MOVE_PASS = 0
+MOVE_CRASH_T = 1
+MOVE_CRASH_R = 2
+MOVE_DELIVER = 3
+MOVE_RETRY = 4
+MOVE_CORRUPT = 5
+
+#: The move classes in resolution order: a Move subclass takes the kind of
+#: the first class here it subclasses.
+MOVE_KINDS = (
+    (Deliver, MOVE_DELIVER),
+    (CrashTransmitter, MOVE_CRASH_T),
+    (CrashReceiver, MOVE_CRASH_R),
+    (Corrupt, MOVE_CORRUPT),
+    (TriggerRetry, MOVE_RETRY),
+    (Pass, MOVE_PASS),
+)
+
+
+def move_kind(kinds: Dict[type, int], move: Move) -> int:
+    """Resolve the kind of ``move``'s class and cache it in ``kinds``.
+
+    Raises :class:`~repro.core.exceptions.SimulationError` for a move no
+    engine can execute.
+    """
+    move_type = type(move)
+    for cls, kind in MOVE_KINDS:
+        if issubclass(move_type, cls):
+            kinds[move_type] = kind
+            return kind
+    raise SimulationError(f"adversary produced unknown move {move!r}")
 
 
 class Adversary(ABC):

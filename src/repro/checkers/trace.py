@@ -272,22 +272,6 @@ class Trace:
         self._dropped += count
         self._outcomes_cache = None
 
-    def tally1(self, event_type: Type[Event]) -> None:
-        """:meth:`tally` of exactly one event, minus the argument checks.
-
-        The recording hot loop calls this once per skipped packet event;
-        callers must have established (via :meth:`wants`) that the trace is
-        not fully retained.
-        """
-        counts = self._counts
-        if event_type in counts:
-            counts[event_type] += 1
-        else:
-            counts[event_type] = 1
-            self._query_cache.clear()
-        self._total += 1
-        self._dropped += 1
-
     # -- observers -------------------------------------------------------------
 
     def subscribe(

@@ -53,7 +53,7 @@ from repro.checkers.safety import check_all_safety
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
 from repro.sim.runner import RunSpec, monte_carlo
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import ENGINES, Simulator
 from repro.sim.workload import SequentialWorkload
 from repro.util.stats import wilson_interval
 from repro.util.tables import render_table
@@ -83,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-turn crash probability for each station")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--max-steps", type=int, default=200_000)
-    sim.add_argument("--engine", choices=["object", "kernel"], default="object",
-                     help="execution engine: classic object loop or the "
-                          "flat step kernel (identical executions)")
+    sim.add_argument("--engine", choices=ENGINES, default="kernel",
+                     help="execution engine: the flat step kernel or the "
+                          "object reference loop (identical executions)")
 
     atk = sub.add_parser("attack", help="stage the Section 3 replay attack")
     atk.add_argument("--protocol", default="paper",
@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     relay.add_argument("--messages", type=int, default=40)
     relay.add_argument("--jobs", type=int, default=2,
                        help="parallel worker processes per cell campaign")
-    relay.add_argument("--engine", choices=["object", "kernel"],
-                       default="kernel",
+    relay.add_argument("--engine", choices=ENGINES, default="kernel",
                        help="execution engine for every hop")
     relay.add_argument("--paths", type=int, default=1,
                        help="stripe frames over up to K disjoint routes")
@@ -173,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "forensic tail ring, or counters only")
     camp.add_argument("--tail-size", type=int, default=256,
                       help="ring-buffer size for --retain tail")
-    camp.add_argument("--engine", choices=["object", "kernel"],
-                      default="object",
+    camp.add_argument("--engine", choices=ENGINES, default="kernel",
                       help="execution engine for every run (identical "
                            "executions; kernel is several times faster)")
     _add_topology_options(camp)
@@ -201,10 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     shr.add_argument("--max-probes", type=int, default=200)
     shr.add_argument("--out", default=None,
                      help="write the minimal fault plan JSON here")
-    shr.add_argument("--engine", choices=["object", "kernel"],
-                     default="object",
-                     help="execution engine for probe runs (fabric only; "
-                          "identical executions)")
+    shr.add_argument("--engine", choices=ENGINES, default="kernel",
+                     help="execution engine for probe runs (identical "
+                          "executions)")
     _add_topology_options(shr)
 
     live = sub.add_parser(
@@ -299,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         SequentialWorkload(args.messages),
         seed=args.seed,
         max_steps=args.max_steps,
-        engine=getattr(args, "engine", "object"),
+        engine=args.engine,
     )
     result = simulator.run()
     report = check_all_safety(result.trace)
@@ -450,7 +447,7 @@ def _fabric_spec(args: argparse.Namespace, messages: int):
         label=getattr(args, "label", "") or f"fabric-{args.topology}",
         retain=getattr(args, "retain", "none"),
         tail_size=getattr(args, "tail_size", 256),
-        engine=getattr(args, "engine", "object"),
+        engine=args.engine,
         paths=getattr(args, "paths", 1),
     )
 
@@ -498,7 +495,7 @@ def _campaign_spec(args: argparse.Namespace, messages: int) -> RunSpec:
         tail_size=getattr(args, "tail_size", 256),
         stabilization=bool(corrupt_rate),
         stabilization_window=getattr(args, "corrupt_window", 8),
-        engine=getattr(args, "engine", "object"),
+        engine=args.engine,
     )
 
 

@@ -91,12 +91,14 @@ class ForgingSimulator(Simulator):
     """A :class:`~repro.sim.Simulator` that honours :class:`InjectForgery`.
 
     Kept separate from the core harness so the base model's causality
-    guarantee stays enforced by construction everywhere else.
+    guarantee stays enforced by construction everywhere else.  It runs on
+    the object engine, whose move dispatch it extends; the kernel knows
+    only the stock moves.
     """
 
-    def __init__(self, *args, noise_seed: int = 0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._noise = RandomSource(noise_seed).fork("forgery-noise")
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, engine="object", **kwargs)
+        self._noise = RandomSource(0).fork("forgery-noise")
         self.forged_deliveries = 0
 
     def _execute_move(self, move: Move) -> None:

@@ -32,6 +32,9 @@ __all__ = ["Resequencer", "StripedLink", "StripedSimulator", "StripedResult"]
 
 _HEADER = struct.Struct(">Q")
 
+#: Step budget of each lane's simulator.
+_MAX_STEPS_PER_LANE = 100_000
+
 
 def _wrap(sequence: int, payload: bytes) -> bytes:
     return _HEADER.pack(sequence) + payload
@@ -134,7 +137,6 @@ class StripedSimulator:
         payloads: Sequence[bytes],
         adversary_factory: Callable[[], Adversary],
         seed: int = 0,
-        max_steps_per_lane: int = 100_000,
         retry_every: int = 4,
     ) -> None:
         self.striped = striped
@@ -146,7 +148,7 @@ class StripedSimulator:
                 adversary=adversary_factory(),
                 workload=ExplicitWorkload(workloads[lane]),
                 seed=split_seed(seed, "lane-adv", lane),
-                max_steps=max_steps_per_lane,
+                max_steps=_MAX_STEPS_PER_LANE,
                 retry_every=retry_every,
             )
             for lane in range(striped.lanes)

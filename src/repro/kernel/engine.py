@@ -55,12 +55,11 @@ from collections import deque
 from time import perf_counter
 
 from repro.adversary.base import (
-    Corrupt,
-    CrashReceiver,
-    CrashTransmitter,
-    Deliver,
-    Pass,
-    TriggerRetry,
+    MOVE_CRASH_R,
+    MOVE_DELIVER,
+    MOVE_KINDS,
+    MOVE_RETRY,
+    move_kind,
 )
 from repro.adversary.benign import ReliableAdversary
 from repro.adversary.fairness import FairnessEnforcer
@@ -117,25 +116,6 @@ CRASH_TRANSMITTER = -1
 CRASH_RECEIVER = -2
 WIPE = -3
 
-# Generic-mode move kinds.  Pass and the two crashes double as the loop's
-# ``do_crash`` codes (0 none, 1 crash^T, 2 crash^R).
-_MV_PASS = 0
-_MV_CRASH_T = 1
-_MV_CRASH_R = 2
-_MV_DELIVER = 3
-_MV_RETRY = 4
-_MV_CORRUPT = 5
-
-# Move classes in Simulator._resolve_move_handler's resolution order.
-_MOVE_KINDS = (
-    (Deliver, _MV_DELIVER),
-    (CrashTransmitter, _MV_CRASH_T),
-    (CrashReceiver, _MV_CRASH_R),
-    (Corrupt, _MV_CORRUPT),
-    (TriggerRetry, _MV_RETRY),
-    (Pass, _MV_PASS),
-)
-
 
 def _classify_adversary(sim):
     """Pick the dispatch mode for the installed adversary.
@@ -159,19 +139,6 @@ def _classify_adversary(sim):
     if type(adv) is RandomFaultAdversary:
         return _MODE_BARE_RANDOM
     return _MODE_GENERIC
-
-
-def _move_kind(kinds, move):
-    """Resolve (and cache in ``kinds``) the kind of a Move subclass.
-
-    Same resolution order and error as ``Simulator._resolve_move_handler``.
-    """
-    move_type = type(move)
-    for cls, kind in _MOVE_KINDS:
-        if issubclass(move_type, cls):
-            kinds[move_type] = kind
-            return kind
-    raise SimulationError(f"adversary produced unknown move {move!r}")
 
 
 def _extract_transmitter(transmitter):
@@ -293,43 +260,22 @@ def _sync_receiver(receiver, state):
 
 
 def run_kernel(sim):
-    """Run ``sim`` to completion on the flat kernel and return the result.
+    """Run ``sim`` to the end on the flat kernel; return the loop's wall time.
 
-    Mirrors ``Simulator.run()`` step for step: same phase order, same RNG
+    Mirrors the object engine step for step: same phase order, same RNG
     draws from the same tapes, same trace events in the same order, same
-    error messages.  The Simulator must already be installed (its own
-    ``run()`` handles construction/reset and dispatches here).  The run is
-    one burst of :func:`step_loop` to the end of the step budget, then the
+    error messages.  The Simulator must already be installed; its own
+    ``run()`` dispatches here and builds the result.  The run is one burst
+    of :func:`step_loop` to the end of the step budget, then the
     :data:`SYNC` that hands the state back to the objects.
     """
-    from repro.sim.simulator import SimulationResult
-
     started = perf_counter()
     loop = step_loop(sim)
     next(loop)
     loop.send(sim._max_steps)
     wall_seconds = perf_counter() - started
     loop.send(SYNC)
-
-    trace = sim._trace
-    checks = sim._checks
-    steps = sim._steps
-    return SimulationResult(
-        trace=trace,
-        metrics=sim._metrics.freeze(
-            steps,
-            wall_seconds=wall_seconds,
-            checker_seconds=(
-                checks.checker_seconds if checks is not None else 0.0
-            ),
-            events_recorded=trace.total_events,
-        ),
-        completed=sim._finished(),
-        steps=steps,
-        link=sim._link,
-        adversary=sim._adversary,
-        checks=checks,
-    )
+    return wall_seconds
 
 
 def step_loop(sim, feed=None, gate=None):
@@ -618,11 +564,11 @@ def step_loop(sim, feed=None, gate=None):
         p_crash_t = _prof.crash_t
         p_crash_r = _prof.crash_r
 
-    # Generic mode: the real adversary object (Simulator.run's dispatch).
+    # Generic mode: the real adversary object (the object loop's dispatch).
     adv_decide = sim._adversary_decide
     adv_next_move = adv.next_move
     adv_on_new = adv.on_new_pkt
-    move_kinds = dict(_MOVE_KINDS)
+    move_kinds = dict(MOVE_KINDS)
 
     # Localise the module globals the loop touches.
     T2R = _T_TO_R
@@ -663,7 +609,7 @@ def step_loop(sim, feed=None, gate=None):
                 pending = -cmd
 
             # ----------------------------------------------------------
-            # Step loop (phase order mirrors Simulator.run exactly).
+            # Step loop (phase order mirrors Simulator._run_object exactly).
             # ----------------------------------------------------------
 
             while True:
@@ -943,7 +889,7 @@ def step_loop(sim, feed=None, gate=None):
                                 rel_pend.clear()
                     elif generic:
                         # The real adversary object decides, as in
-                        # Simulator.run; a deliver or crash falls
+                        # Simulator._run_object; a deliver or crash falls
                         # through to the dispatch below.
                         if adv_decide is not None:
                             adv._moves_made += 1
@@ -952,16 +898,17 @@ def step_loop(sim, feed=None, gate=None):
                             move = adv_next_move()
                         kind = move_kinds.get(type(move))
                         if kind is None:
-                            kind = _move_kind(move_kinds, move)
-                        if kind == _MV_DELIVER:
+                            kind = move_kind(move_kinds, move)
+                        if kind == MOVE_DELIVER:
                             dpid = move.packet_id
                             if dpid is None:
                                 raise UnknownPacketError(dpid)
                             ch = move.channel
                             dto_r = ch is T2R or ch == T2R
-                        elif kind <= _MV_CRASH_R:
+                        elif kind <= MOVE_CRASH_R:
+                            # Pass and the crashes are the crash codes.
                             do_crash = kind
-                        elif kind == _MV_RETRY:
+                        elif kind == MOVE_RETRY:
                             # Simulator._fire_retry, scheduled by the
                             # adversary.
                             if rec_retry:

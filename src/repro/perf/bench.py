@@ -319,9 +319,10 @@ def _campaign_spec() -> RunSpec:
 
     One message under 20% loss keeps each run around a dozen steps, so the
     measured difference between the two dispatch modes is almost entirely
-    dispatch cost rather than simulation time.
+    dispatch cost rather than simulation time.  It runs the object engine,
+    which the committed baseline's ratio was recorded on.
     """
-    spec = RunSpec.default(messages=1, label="campaign-lossy")
+    spec = RunSpec.default(messages=1, label="campaign-lossy", engine="object")
     spec.adversary_factory = lambda: RandomFaultAdversary(FaultProfile(loss=0.2))
     spec.retain = "none"
     spec.max_steps = 50_000
@@ -392,9 +393,13 @@ def _stabilization_spec(messages: int) -> RunSpec:
     The corruption rate is tuned so every bench run scrambles at least one
     station a few times: the monitored leg then exercises the full
     probation/scrub path (episode open, mark, streak, converge) rather
-    than idling, which is the cost the gated ratio exists to bound.
+    than idling, which is the cost the gated ratio exists to bound.  It
+    runs the object engine, which the committed baseline's ratio was
+    recorded on.
     """
-    spec = RunSpec.default(messages=messages, label="stabilization")
+    spec = RunSpec.default(
+        messages=messages, label="stabilization", engine="object"
+    )
     spec.adversary_factory = lambda: StateCorruptionAdversary(
         rate_t=0.005,
         rate_r=0.005,
@@ -591,13 +596,14 @@ def _bench_relay(messages: int, base_seed: int) -> Dict[str, Dict[str, float]]:
     work); the committed baseline bounds how far below free the fabric's
     store-and-forward overhead may drift.  Each seed runs on both lines
     back to back (:func:`_timed_pairs`) and the recorded efficiency is
-    the median of the per-pair ones.
+    the median of the per-pair ones.  Both lines run the object engine,
+    which the committed baseline's ratio was recorded on.
     """
     from repro.transport.fabric import FabricSpec
 
     line_1, line_4 = (
         FabricSpec(topology="line", size=hops, messages=messages,
-                   label=f"line_{hops}")
+                   engine="object", label=f"line_{hops}")
         for hops in (1, 4)
     )
     timed = _timed_pairs(

@@ -70,9 +70,11 @@ class RunSpec:
     # accounting is suspended during corruption probation windows.
     stabilization: bool = False
     stabilization_window: int = 8
-    # Execution engine: "object" (classic loop) or "kernel" (flat
-    # slot-indexed step kernel; identical executions, several times faster).
-    engine: str = "object"
+    # Execution engine, one of repro.sim.simulator.ENGINES: "kernel" (the
+    # flat step kernel) or "object" (the reference loop it is pinned to;
+    # identical executions, several times slower, and the one that runs
+    # non-GHM stations).
+    engine: str = "kernel"
 
     def __post_init__(self) -> None:
         check_engine(self.engine)

@@ -1,8 +1,10 @@
 """The execution harness: composes ``D(A, ADV)`` and runs it.
 
-This is Figure 1's composition of I/O automata, each automaton an object,
-and the reference the step kernel (``engine="kernel"``) is pinned to event
-for event.  One :class:`Simulator` owns:
+This is Figure 1's composition of I/O automata, each automaton an object.
+:meth:`Simulator.run` executes it on the flat step kernel
+(:mod:`repro.kernel`, the default) or on the object loop below
+(``engine="object"``), the reference the kernel is pinned to event for
+event.  One :class:`Simulator` owns:
 
 * a :class:`~repro.core.protocol.DataLink` (the pair ``A = (A^t, A^r)``);
 * a :class:`~repro.channel.ChannelPair` (``C^{T→R}`` and ``C^{R→T}``);
@@ -35,14 +37,18 @@ from time import perf_counter
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.adversary.base import (
+    MOVE_CORRUPT,
+    MOVE_CRASH_R,
+    MOVE_CRASH_T,
+    MOVE_DELIVER,
+    MOVE_KINDS,
+    MOVE_PASS,
+    MOVE_RETRY,
     Adversary,
     Corrupt,
-    CrashReceiver,
-    CrashTransmitter,
     Deliver,
     Move,
-    Pass,
-    TriggerRetry,
+    move_kind,
 )
 from repro.adversary.fairness import FairnessEnforcer
 from repro.channel.channel import ChannelPair
@@ -73,15 +79,19 @@ from repro.core.random_source import RandomSource
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.workload import Workload
 
-__all__ = ["SimulationResult", "Simulator", "check_engine"]
+__all__ = ["ENGINES", "SimulationResult", "Simulator", "check_engine"]
 
 _T_TO_R = ChannelId.T_TO_R
 
+#: The execution engines, the default first: the flat step kernel
+#: (:mod:`repro.kernel`) and the object loop it is pinned to.
+ENGINES = ("kernel", "object")
+
 
 def check_engine(engine: str) -> None:
-    """Raise ``ValueError`` unless ``engine`` names an execution engine."""
-    if engine not in ("object", "kernel"):
-        raise ValueError(f"engine must be 'object' or 'kernel', got {engine!r}")
+    """Raise ``ValueError`` unless ``engine`` is one of :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 @dataclass
@@ -147,13 +157,17 @@ class Simulator:
         An optional :class:`StreamingChecks` suite subscribed to the trace
         so the Section 2.6 conditions are evaluated online during the run.
     engine:
-        ``"object"`` runs the classic per-object loop below; ``"kernel"``
-        runs the flat slot-indexed step kernel (:mod:`repro.kernel`),
-        which produces the identical execution — same trace events, same
-        RNG draws, same verdicts — several times faster.  The kernel
-        borrows the stations'/channels'/adversary's state for the run and
-        syncs it back afterwards, so everything observable through this
-        class behaves the same either way.
+        One of :data:`ENGINES`.  ``"kernel"`` (the default) runs the flat
+        slot-indexed step kernel (:mod:`repro.kernel`); ``"object"`` runs
+        the per-object reference loop below, which produces the identical
+        execution — same trace events, same RNG draws, same verdicts —
+        several times slower.  The kernel borrows the
+        stations'/channels'/adversary's state for the run and syncs it
+        back afterwards, so everything observable through this class
+        behaves the same either way.  It mirrors only the GHM stations and
+        the stock moves: baseline stations and subclasses that extend the
+        move vocabulary need ``"object"``.  :meth:`step` always runs the
+        object code.
     """
 
     def __init__(
@@ -169,7 +183,7 @@ class Simulator:
         retain: str = "full",
         tail_size: int = 256,
         checks: Optional[StreamingChecks] = None,
-        engine: str = "object",
+        engine: str = "kernel",
     ) -> None:
         if retry_every < 1:
             raise ValueError("retry_every must be >= 1")
@@ -190,13 +204,14 @@ class Simulator:
         self._checks = checks
         if checks is not None:
             self._trace.subscribe(checks.observe, types=checks.observed_types)
-        self._move_handlers: Dict[type, Callable[[Move], None]] = {
-            Deliver: self._deliver,
-            CrashTransmitter: self._crash_transmitter,
-            CrashReceiver: self._crash_receiver,
-            Corrupt: self._corrupt,
-            TriggerRetry: self._trigger_retry,
-            Pass: self._pass,
+        self._move_kinds: Dict[type, int] = dict(MOVE_KINDS)
+        self._move_handlers: Dict[int, Callable[[Move], None]] = {
+            MOVE_DELIVER: self._deliver,
+            MOVE_CRASH_T: self._crash_transmitter,
+            MOVE_CRASH_R: self._crash_receiver,
+            MOVE_CORRUPT: self._corrupt,
+            MOVE_RETRY: self._trigger_retry,
+            MOVE_PASS: self._pass,
         }
         self._install(link, adversary, workload, seed)
 
@@ -257,7 +272,7 @@ class Simulator:
         when neither retention nor an observer would ever see one.  The
         skipped events are counted in plain ints and flushed to the trace's
         counters in bulk (end of run(), or whenever the trace is read) —
-        Trace.tally1 per event would still pay a call frame.  Re-read when
+        Trace.tally per event would still pay a call frame.  Re-read when
         ``run()`` starts, so an observer subscribed after construction sees
         the events too.
         """
@@ -304,15 +319,36 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute until the workload is fully acknowledged or budget runs out.
 
-        The loop body inlines :meth:`step` (sans the call frames) because
-        this is the engine's hottest couple of lines; keep the two in sync.
-        :meth:`step` remains the single-step API.
+        The kernel engine runs :func:`repro.kernel.engine.run_kernel`.  The
+        object engine's loop body inlines :meth:`step` (sans the call
+        frames) because this is its hottest couple of lines; keep the two
+        in sync.  :meth:`step` remains the single-step API.
         """
         self._read_recording_flags()
         if self._engine == "kernel":
             from repro.kernel.engine import run_kernel
 
-            return run_kernel(self)
+            wall_seconds = run_kernel(self)
+        else:
+            wall_seconds = self._run_object()
+        checks = self._checks
+        return SimulationResult(
+            trace=self._trace,
+            metrics=self._metrics.freeze(
+                self._steps,
+                wall_seconds=wall_seconds,
+                checker_seconds=checks.checker_seconds if checks else 0.0,
+                events_recorded=self._trace.total_events,
+            ),
+            completed=self._finished(),
+            steps=self._steps,
+            link=self._link,
+            adversary=self._adversary,
+            checks=checks,
+        )
+
+    def _run_object(self) -> float:
+        """The object engine's loop; returns its wall seconds."""
         # A prior kernel run on this simulator may have parked flat packet
         # tuples on the channels; the object loop works on packet objects.
         self._channels.t_to_r._materialize()
@@ -361,21 +397,7 @@ class Simulator:
                 metrics.sample_storage()
         wall_seconds = perf_counter() - started
         self._flush_tallies()
-        checker_seconds = self._checks.checker_seconds if self._checks else 0.0
-        return SimulationResult(
-            trace=self._trace,
-            metrics=self._metrics.freeze(
-                self._steps,
-                wall_seconds=wall_seconds,
-                checker_seconds=checker_seconds,
-                events_recorded=self._trace.total_events,
-            ),
-            completed=self._finished(),
-            steps=self._steps,
-            link=self._link,
-            adversary=self._adversary,
-            checks=self._checks,
-        )
+        return wall_seconds
 
     def step(self) -> None:
         """One simulation step: higher layer, RETRY cadence, adversary move,
@@ -427,21 +449,10 @@ class Simulator:
             self._apply_outputs(outputs, self._r_to_t)
 
     def _execute_move(self, move: Move) -> None:
-        handler = self._move_handlers.get(type(move))
-        if handler is None:
-            handler = self._resolve_move_handler(type(move), move)
-        handler(move)
-
-    def _resolve_move_handler(
-        self, move_type: type, move: Move
-    ) -> Callable[[Move], None]:
-        """Cache the handler for a Move subclass (same semantics as the old
-        ``isinstance`` chain, paid once per concrete type)."""
-        for registered, handler in list(self._move_handlers.items()):
-            if issubclass(move_type, registered):
-                self._move_handlers[move_type] = handler
-                return handler
-        raise SimulationError(f"adversary produced unknown move {move!r}")
+        kind = self._move_kinds.get(type(move))
+        if kind is None:
+            kind = move_kind(self._move_kinds, move)
+        self._move_handlers[kind](move)
 
     def _crash_transmitter(self, move: Move) -> None:
         self._trace.append(CRASH_T)
@@ -522,15 +533,6 @@ class Simulator:
                 self._metrics.messages_ok += 1
                 self._tx_busy = False
             elif output_type is EmitReceiveMsg:
-                self._trace.append(make_receive_msg(output.message))
-                self._metrics.messages_delivered += 1
-            elif isinstance(output, EmitPacket):
-                out_channel.send_pkt(output.packet)
-            elif isinstance(output, EmitOk):
-                self._trace.append(OK)
-                self._metrics.messages_ok += 1
-                self._tx_busy = False
-            elif isinstance(output, EmitReceiveMsg):
                 self._trace.append(make_receive_msg(output.message))
                 self._metrics.messages_delivered += 1
             else:

@@ -67,7 +67,7 @@ from repro.resilience.faultplan import (
 )
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import RunOutcome
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult, Simulator, check_engine
 from repro.transport.network import (
     LinkState,
     Network,
@@ -135,10 +135,6 @@ class _LinkAdversary(Adversary):
             return make_deliver(info.channel, info.packet_id)
         return PASS
 
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
-
 
 class _LinkSimulator(Simulator):
     """One directed hop's protocol instance, fed frames by the fabric.
@@ -151,10 +147,10 @@ class _LinkSimulator(Simulator):
     directed link, monotone, and *not* wiped by crashes, because they are
     the environment's Axiom 2 bookkeeping, not station memory.
 
-    :meth:`start` returns what the fabric ticks for this hop in a run: the
-    hop itself on the object engine, a :class:`~repro.kernel.hop.HopKernel`
-    (the kernel's step loop, resumed a burst per tick) on the kernel, whose
-    state the objects only see again after :meth:`finalize_engine`.
+    :meth:`start` returns what the fabric ticks for this hop in a run, a
+    :class:`~repro.kernel.hop.HopKernel`: the hop's step loop on either
+    engine, resumed a burst per tick.  On the kernel the objects only see
+    the loop's state again after :meth:`finalize_engine`.
     """
 
     def __init__(
@@ -163,7 +159,7 @@ class _LinkSimulator(Simulator):
         seed: int,
         epsilon: float,
         retry_every: int,
-        engine: str = "object",
+        engine: str,
     ) -> None:
         self.feed: Deque[bytes] = deque()
         self.delivered: Deque[bytes] = deque()
@@ -181,82 +177,48 @@ class _LinkSimulator(Simulator):
             engine=engine,
         )
         self._trace.subscribe(self._collect, types=(ReceiveMsg,))
-        # Kernel mode: the hop's step loop owns its state from here on;
+        # On the kernel the hop's step loop owns its state from here on;
         # the object graph goes stale until finalize_engine().
-        self._hop: Optional[HopKernel] = None
-        if engine == "kernel":
-            self._hop = HopKernel(self)
+        self._hop = HopKernel(self)
 
     # -- fabric-facing API ----------------------------------------------------------
 
-    def start(self):
-        """Return what the fabric ticks for this hop in a run.
+    def start(self) -> HopKernel:
+        """Return the hop's loop, which the fabric ticks in a run.
 
         If an observer was subscribed to the hop's trace since it was
         built, the recording flags are re-read, as :meth:`Simulator.run`
-        does, so it sees every event class it asked for; and a kernel hop,
-        whose loop resolves its observers when primed, gets a freshly
-        primed loop (nothing has run yet).
+        does, so it sees every event class it asked for, and the loop,
+        which resolves its observers when primed, is primed afresh
+        (nothing has run yet).
         """
         # __init__ subscribes _collect and nothing else, so a second
         # observer is one subscribed since.
         if len(self._trace._observers) > 1:
             self._read_recording_flags()
-            if self._hop is not None:
-                self._hop = HopKernel(self)
-        return self if self._hop is None else self._hop
+            self._hop = HopKernel(self)
+        return self._hop
 
     def push_frame(self, kind: bytes, seq: int) -> None:
         """Queue one frame for submission on this hop (fresh uid)."""
         self._uid += 1
         self.feed.append(_encode_frame(kind, seq, self._uid))
 
-    def tick(self, steps: int) -> None:
-        """Advance this object-engine hop by ``steps`` simulation steps."""
-        if self._next_message is None and self.feed:
-            self._advance_workload()
-        for _ in range(steps):
-            self.step()
-
-    @property
-    def active(self) -> bool:
-        """Does this object-engine hop have work an idle step could progress?"""
-        return bool(
-            self.feed
-            or self._next_message is not None
-            or self._tx_busy
-            or self.wire.pending
-        )
-
     def crash_transmitter_station(self) -> None:
-        if self._hop is not None:
-            self._hop.crash_transmitter()
-        else:
-            self._crash_transmitter(None)
+        self._hop.crash_transmitter()
 
     def crash_receiver_station(self) -> None:
-        if self._hop is not None:
-            self._hop.crash_receiver()
-        else:
-            self._crash_receiver(None)
+        self._hop.crash_receiver()
 
     def wipe_feed(self) -> None:
         """Amnesia for the origin node's outgoing queue on this hop."""
-        if self._hop is not None:
-            self._hop.wipe_feed()
-        else:
-            self.feed.clear()
-            self._next_message = None
+        self._hop.wipe_feed()
 
     def finalize_engine(self) -> None:
-        """Settle the hop's objects once a run ends: a kernel hop syncs its
-        loop's state back, an object hop flushes its deferred packet and
-        RETRY tallies into its trace's counters (as the kernel's sync does).
-        """
-        if self._hop is not None:
-            self._hop.finalize()
-        else:
-            self._flush_tallies()
+        """Settle the hop's objects once a run ends: the loop writes its
+        state back (the object engine flushes its deferred packet and
+        RETRY tallies into the trace's counters)."""
+        self._hop.finalize()
 
     # -- Simulator overrides ---------------------------------------------------------
 
@@ -295,7 +257,7 @@ class FabricSpec:
     label: str = ""
     retain: str = "none"
     tail_size: int = 256
-    engine: str = "object"
+    engine: str = "kernel"
     paths: int = 1
 
     def __post_init__(self) -> None:
@@ -315,10 +277,7 @@ class FabricSpec:
         if self.messages < 0:
             raise ConfigurationError("messages must be >= 0")
         check_rates(fail_rate=self.fail_rate, repair_rate=self.repair_rate)
-        if self.engine not in ("object", "kernel"):
-            raise ConfigurationError(
-                f"engine must be 'object' or 'kernel', got {self.engine!r}"
-            )
+        check_engine(self.engine)
 
     def build_network(self) -> Network:
         """The topology instance this spec runs over."""
@@ -683,13 +642,11 @@ class FabricRun:
         Each hop starts here (:meth:`_LinkSimulator.start`), after any
         observer of a hop's trace is subscribed, and is then ticked once
         per fabric tick while it has work: a burst of ``steps_per_tick``
-        steps, which on the kernel engine is one resume of the hop's step
-        loop (PROTOCOL.md §17).
+        steps, one resume of the hop's step loop (PROTOCOL.md §17).
         """
         spec = self.spec
         started = perf_counter()
         hops = [link.start() for link in self.links.values()]
-        kernel_mode = spec.engine == "kernel"
         steps_per_tick = spec.steps_per_tick
         for tick in range(spec.max_ticks):
             if self._base >= spec.messages:
@@ -698,25 +655,20 @@ class FabricRun:
             self.ticks = tick + 1
             self._apply_topology(tick)
             self._source_phase(tick)
-            if kernel_mode:
-                # HopKernel.busy is what the hop's last resume reported;
-                # plain attribute reads beat a property call here.
-                for hop in hops:
-                    if hop.busy or hop.feed:
-                        hop.tick(steps_per_tick)
-            else:
-                for hop in hops:
-                    if hop.active:
-                        hop.tick(steps_per_tick)
+            # HopKernel.busy is what the hop's last resume reported;
+            # plain attribute reads beat a property call here.
+            for hop in hops:
+                if hop.busy or hop.feed:
+                    hop.tick(steps_per_tick)
             if self._drain_deliveries():
                 self._destination_ack_phase()
             self._forward_phase()
         else:
             self.completed = self._base >= spec.messages
-        # Kernel hops hold their state in their loops' frames; sync every
-        # hop's object graph before anything (metrics aggregation, tests)
-        # reads stations, channels or wire queues.  Counted inside the
-        # wall — it is part of the kernel engine's cost.
+        # Kernel hops hold their state in their loops' frames; settle
+        # every hop's object graph before anything (metrics aggregation,
+        # tests) reads stations, channels, wire queues or trace counters.
+        # Counted inside the wall — it is part of the engine's cost.
         for link in self.links.values():
             link.finalize_engine()
         wall = perf_counter() - started

@@ -94,7 +94,7 @@ class TestAbpBehaviour:
     def _run(self, adversary, messages=12, seed=0, max_steps=30_000, **kwargs):
         sim = Simulator(
             make_abp_link(), adversary, SequentialWorkload(messages),
-            seed=seed, max_steps=max_steps, **kwargs,
+            seed=seed, max_steps=max_steps, engine="object", **kwargs,
         )
         return sim.run()
 

@@ -47,6 +47,7 @@ class TestBehaviour:
             SequentialWorkload(messages),
             seed=seed,
             max_steps=30_000,
+            engine="object",
         )
         return sim.run()
 

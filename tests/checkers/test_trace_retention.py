@@ -121,7 +121,7 @@ def test_none_retention_counts_only():
 def test_tally_and_tally1_update_counters():
     trace = Trace(retain="none")
     trace.tally(Retry, 5)
-    trace.tally1(Retry)
+    trace.tally(Retry)
     trace.tally(PktSent, 0)  # zero tallies are allowed and do nothing
     assert trace.count(Retry) == trace.retries() == 6
     assert trace.count(PktSent) == 0

@@ -8,6 +8,7 @@ from repro.adversary.benign import ReliableAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.sim.runner import RunSpec, monte_carlo, run_once
 from repro.sim.workload import SequentialWorkload
+from repro.transport.fabric import FabricSpec
 
 
 def spec(adversary_factory=ReliableAdversary, messages=5, **overrides):
@@ -79,6 +80,18 @@ class TestMonteCarlo:
         # A misspelt engine fails the spec, not every run built from it.
         with pytest.raises(ValueError, match="engine must be"):
             RunSpec.default(engine="kernal")
+
+    def test_fabric_spec_rejects_unknown_engine_alike(self):
+        # One check serves both specs: same exception, same message.
+        with pytest.raises(ValueError) as link_error:
+            RunSpec.default(engine="kernal")
+        with pytest.raises(ValueError) as fabric_error:
+            FabricSpec(engine="kernal")
+        assert str(fabric_error.value) == str(link_error.value)
+
+    def test_specs_default_to_the_kernel(self):
+        assert RunSpec.default().engine == "kernel"
+        assert FabricSpec().engine == "kernel"
 
     @pytest.mark.parametrize("engine", ["object", "kernel"])
     def test_known_engines_accepted(self, engine):

@@ -14,9 +14,11 @@ from repro.adversary.random_faults import (
     FaultProfile,
     RandomFaultAdversary,
 )
+from repro.baselines.alternating_bit import make_abp_link
 from repro.checkers.axioms import check_axiom1, check_axiom2, check_axiom3_bounded
 from repro.checkers.safety import check_all_safety
 from repro.core.events import Ok, PktDelivered, PktSent, ReceiveMsg, Retry, SendMsg
+from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
@@ -169,6 +171,14 @@ class TestHarnessContract:
         result = run(ReliableAdversary(), messages=3)
         assert len(result.metrics.storage_samples) == result.steps
         assert result.metrics.storage_peak_bits >= max(result.metrics.storage_samples[:1] or [0])
+
+    def test_kernel_is_the_default_engine(self):
+        # The kernel refuses stations it has no flat mirror of, so a
+        # baseline link run without naming an engine fails up front.
+        sim = Simulator(make_abp_link(), ReliableAdversary(), SequentialWorkload(3))
+        with pytest.raises(ConfigurationError, match="AbpTransmitter"):
+            sim.run()
+        assert sim.steps_taken == 0
 
     @pytest.mark.parametrize("engine", ["object", "kernel"])
     def test_late_subscriber_sees_packet_events(self, engine):

@@ -246,6 +246,14 @@ class TestSweepRelayCommand:
 
 
 class TestTopologyEngineOptions:
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["campaign"],
+        ["shrink", "--fault-plan", "plan.json", "--seed", "1"],
+    ], ids=["simulate", "campaign", "shrink"])
+    def test_engine_defaults_to_the_kernel(self, argv):
+        assert build_parser().parse_args(argv).engine == "kernel"
+
     def test_campaign_engine_and_paths_parse(self):
         args = build_parser().parse_args([
             "campaign", "--topology", "ring", "--topology-size", "8",
