@@ -20,8 +20,7 @@ from repro.adversary.random_faults import DuplicateFloodAdversary, FaultProfile,
 from repro.analysis.bounds import nonce_bits_after_errors
 from repro.core.params import SoundPolicy
 from repro.core.protocol import make_data_link
-from repro.sim.experiment import Sweep
-from repro.sim.runner import RunSpec
+from repro.sim.runner import RunSpec, monte_carlo
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -41,10 +40,10 @@ def _half_peaks(mc, half):
     return totals / len(mc.outcomes)
 
 
-def run_sweep():
-    sweep = Sweep(
-        axis_name="flood",
-        spec_for=lambda flood: RunSpec(
+def run_experiment():
+    rows = []
+    for index, flood in enumerate(FLOODS):
+        spec = RunSpec(
             link_factory=lambda seed: make_data_link(epsilon=EPSILON, seed=seed),
             adversary_factory=lambda: DuplicateFloodAdversary(
                 flood=flood, flood_t_to_r_only=True
@@ -55,25 +54,27 @@ def run_sweep():
             max_steps=80_000,
             # Poll rate below drain capacity (see E3).
             retry_every=max(4, int(4 / (1.0 - flood)) if flood < 1 else 4),
-        ),
-        row_for=lambda flood, mc: {
-            "peak-bits": mc.mean_storage_peak_bits,
-            "1st-half-peak": _half_peaks(mc, 0),
-            "2nd-half-peak": _half_peaks(mc, 1),
-            "extensions": sum(
-                o.metrics.receiver_extensions + o.metrics.transmitter_extensions
-                for o in mc.outcomes
-            ),
-            "errors-counted": sum(
-                o.metrics.receiver_errors_counted
-                + o.metrics.transmitter_errors_counted
-                for o in mc.outcomes
-            ),
-        },
-        runs_per_point=RUNS_PER_POINT,
-        title="E4: storage vs fault intensity (stationary across the run)",
-    )
-    return sweep.run(FLOODS)
+        )
+        mc = monte_carlo(spec, runs=RUNS_PER_POINT, base_seed=index)
+        rows.append(
+            [
+                flood,
+                mc.mean_storage_peak_bits,
+                _half_peaks(mc, 0),
+                _half_peaks(mc, 1),
+                sum(
+                    o.metrics.receiver_extensions
+                    + o.metrics.transmitter_extensions
+                    for o in mc.outcomes
+                ),
+                sum(
+                    o.metrics.receiver_errors_counted
+                    + o.metrics.transmitter_errors_counted
+                    for o in mc.outcomes
+                ),
+            ]
+        )
+    return rows
 
 
 def analytic_rows():
@@ -85,8 +86,15 @@ def analytic_rows():
 
 
 def test_bench_storage_resets(benchmark):
-    result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    emit(result.render())
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    emit(
+        render_table(
+            ["flood", "peak-bits", "1st-half-peak", "2nd-half-peak",
+             "extensions", "errors-counted"],
+            rows,
+            title="E4: storage vs fault intensity (stationary across the run)",
+        )
+    )
     emit(
         render_table(
             ["errors-on-message", "nonce-bits (analytic)"],
@@ -94,7 +102,7 @@ def test_bench_storage_resets(benchmark):
             title="E4b: analytic nonce growth per current-message errors",
         )
     )
-    peaks = result.column("peak-bits")
+    peaks = [row[1] for row in rows]
     # Peak grows with fault pressure — storage is a function of the
     # current message's error count...
     assert peaks[-1] >= peaks[0]
@@ -102,7 +110,5 @@ def test_bench_storage_resets(benchmark):
     # (no accumulation message over message), because every delivery and
     # OK resets the nonces.  An unbounded-counter protocol would show the
     # second-half peak strictly dominating the first at every fault level.
-    for first, second in zip(
-        result.column("1st-half-peak"), result.column("2nd-half-peak")
-    ):
-        assert second <= max(first, 1.0) * 1.5
+    for row in rows:
+        assert row[3] <= max(row[2], 1.0) * 1.5

@@ -13,19 +13,19 @@ from conftest import emit
 
 from repro.adversary.random_faults import DuplicateFloodAdversary
 from repro.core.protocol import make_data_link
-from repro.sim.experiment import Sweep
-from repro.sim.runner import RunSpec
+from repro.sim.runner import RunSpec, monte_carlo
 from repro.sim.workload import SequentialWorkload
+from repro.util.tables import render_table
 
 EPSILON = 2.0 ** -10
 FLOODS = [0.2, 0.5, 0.8, 0.95]
 RUNS_PER_POINT = 15
 
 
-def run_sweep():
-    sweep = Sweep(
-        axis_name="flood",
-        spec_for=lambda flood: RunSpec(
+def run_experiment():
+    rows = []
+    for index, flood in enumerate(FLOODS):
+        spec = RunSpec(
             link_factory=lambda seed: make_data_link(epsilon=EPSILON, seed=seed),
             adversary_factory=lambda: DuplicateFloodAdversary(
                 flood=flood, flood_t_to_r_only=True
@@ -36,25 +36,33 @@ def run_sweep():
             # flood f only (1-f) of moves deliver fresh packets, so a
             # fixed cadence would diverge the queue at high f.
             retry_every=max(4, int(4 / (1.0 - flood))),
-        ),
-        row_for=lambda flood, mc: {
-            "dup-violations": mc.duplication_violation_rate.successes,
-            "replay-violations": mc.replay_violation_rate.successes,
-            "deliveries": mc.duplication_violation_rate.trials,
-            "dup-rate-high": mc.duplication_violation_rate.high,
-            "completion": mc.completion_rate,
-        },
-        runs_per_point=RUNS_PER_POINT,
-        title="E3: uniqueness (Theorems 7+8) vs duplication flood",
-    )
-    return sweep.run(FLOODS)
+        )
+        mc = monte_carlo(spec, runs=RUNS_PER_POINT, base_seed=index)
+        rows.append(
+            [
+                flood,
+                mc.duplication_violation_rate.successes,
+                mc.replay_violation_rate.successes,
+                mc.duplication_violation_rate.trials,
+                mc.duplication_violation_rate.high,
+                mc.completion_rate,
+            ]
+        )
+    return rows
 
 
 def test_bench_uniqueness_under_duplication(benchmark):
-    result = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    emit(result.render())
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    emit(
+        render_table(
+            ["flood", "dup-violations", "replay-violations", "deliveries",
+             "dup-rate-high", "completion"],
+            rows,
+            title="E3: uniqueness (Theorems 7+8) vs duplication flood",
+        )
+    )
     # Paper claim: zero observed uniqueness violations at every intensity.
-    assert sum(result.column("dup-violations")) == 0
-    assert sum(result.column("replay-violations")) == 0
+    assert sum(row[1] for row in rows) == 0
+    assert sum(row[2] for row in rows) == 0
     # And the flood cannot stop progress (fair schedule).
-    assert all(c >= 0.9 for c in result.column("completion"))
+    assert all(row[5] >= 0.9 for row in rows)

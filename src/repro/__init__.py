@@ -47,7 +47,6 @@ from repro.sim import (
     SequentialWorkload,
     SimulationResult,
     Simulator,
-    Sweep,
     monte_carlo,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "Simulator",
     "SizeBoundPolicy",
     "SoundPolicy",
-    "Sweep",
     "Trace",
     "Transmitter",
     "check_all_safety",

@@ -14,7 +14,6 @@ The experiments compare measured rates against these closed forms:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 

@@ -15,8 +15,7 @@ communication-cost comparison is apples-to-apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 __all__ = ["Frame", "AckFrame", "BaselineStats", "BaselineLink"]
 

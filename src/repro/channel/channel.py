@@ -29,7 +29,6 @@ from repro.core.events import ChannelId
 from repro.core.exceptions import UnknownPacketError
 from repro.core.packets import (
     Packet,
-    encode_packet,
     make_data_packet,
     make_poll_packet,
 )

@@ -55,7 +55,6 @@ from repro.checkers.streaming import (
     ProgressGapMonitor,
     StreamingChecks,
     StreamMonitor,
-    feed,
 )
 from repro.checkers.trace import EventsView, MessageOutcome, Trace
 

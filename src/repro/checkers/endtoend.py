@@ -31,17 +31,16 @@ what relay amnesia threatens and the fabric's dedup layer restores.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type
+from typing import Dict, List, Type
 
-from repro.checkers.report import CheckReport, SafetyReport, Violation
+from repro.checkers.report import CheckReport, Violation
 from repro.checkers.streaming import (
     CausalityMonitor,
     Handler,
     LivenessMonitor,
     NoDuplicationMonitor,
+    StreamingChecks,
     StreamMonitor,
-    _build_table,
-    _resolve_subclass,
 )
 from repro.core.events import Event, Ok, ReceiveMsg, SendMsg
 
@@ -170,71 +169,32 @@ class EndToEndNoReplayMonitor(StreamMonitor):
         self._violations.clear()
 
 
-class EndToEndMonitor:
+class EndToEndMonitor(StreamingChecks):
     """One-pass Section 2.6 evaluation of a fabric's end-to-end stream.
 
-    Subscribe it to the fabric's network-scope trace exactly like a
-    :class:`~repro.checkers.streaming.StreamingChecks`::
+    A :class:`~repro.checkers.streaming.StreamingChecks` over the
+    network-scope monitors, subscribed to the fabric's trace the same way::
 
         monitor = EndToEndMonitor()
         trace.subscribe(monitor.observe, types=monitor.observed_types)
 
     :meth:`safety_report` yields the standard four-condition
-    :class:`SafetyReport` (so campaign classification, forensics and the
-    shrinker work unchanged on fabric runs) and :meth:`verdict` collapses
-    it to the ``CLEAN``/``VIOLATED`` summary the acceptance scenarios
-    assert on.
+    :class:`~repro.checkers.report.SafetyReport` (so campaign
+    classification, forensics and the shrinker work unchanged on fabric
+    runs) and :meth:`verdict` collapses it to the ``CLEAN``/``VIOLATED``
+    summary the acceptance scenarios assert on.
     """
 
     def __init__(self) -> None:
-        self.causality = CausalityMonitor()
-        self.order = SequentialOrderMonitor()
-        self.no_duplication = NoDuplicationMonitor()
-        self.no_replay = EndToEndNoReplayMonitor()
-        self.liveness = LivenessMonitor()
-        self.monitors: Tuple[StreamMonitor, ...] = (
-            self.causality,
-            self.order,
-            self.no_duplication,
-            self.no_replay,
-            self.liveness,
+        super().__init__(
+            monitors=[
+                CausalityMonitor(),
+                SequentialOrderMonitor(),
+                NoDuplicationMonitor(),
+                EndToEndNoReplayMonitor(),
+                LivenessMonitor(),
+            ]
         )
-        self._table = _build_table(self.monitors)
-        self.events_seen = 0
-
-    @property
-    def observed_types(self) -> Tuple[Type[Event], ...]:
-        """Event types at least one monitor handles (for trace interest)."""
-        return tuple(self._table)
-
-    def observe(self, index: int, event: Event) -> None:
-        """Consume the next event of the end-to-end stream."""
-        self.events_seen += 1
-        table = self._table
-        handlers = table.get(type(event))
-        if handlers is None:
-            handlers = _resolve_subclass(table, type(event))
-        for handler in handlers:
-            handler(index, event)
-
-    def reset(self) -> None:
-        """Reset every monitor in place for a fresh run."""
-        for monitor in self.monitors:
-            monitor.reset()
-        self.events_seen = 0
-
-    def safety_report(self) -> SafetyReport:
-        """The four end-to-end safety verdicts over everything observed."""
-        return SafetyReport(
-            causality=self.causality.report(),
-            order=self.order.report(),
-            no_duplication=self.no_duplication.report(),
-            no_replay=self.no_replay.report(),
-        )
-
-    def liveness_report(self, run_completed: bool) -> CheckReport:
-        """The end-to-end liveness verdict."""
-        return self.liveness.report(run_completed=run_completed)
 
     def verdict(self, run_completed: bool = True) -> str:
         """``"CLEAN"`` iff every condition (safety + liveness) holds."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.checkers.report import CheckReport, Violation
+from repro.checkers.report import CheckReport
 from repro.checkers.streaming import LivenessMonitor, ProgressGapMonitor, feed
 from repro.checkers.trace import Trace
 

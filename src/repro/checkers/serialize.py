@@ -10,7 +10,7 @@ hex-encoded so arbitrary byte payloads survive.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, List
+from typing import IO, List
 
 from repro.checkers.trace import Trace
 from repro.core.events import (

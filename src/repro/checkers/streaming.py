@@ -568,6 +568,12 @@ class StreamingChecks:
     ``axioms=True`` to also validate the environment axioms (harness
     self-check), or an explicit ``monitors`` list for a custom set.
 
+    Either way the report slots (:attr:`causality`, :attr:`order`,
+    :attr:`no_duplication`, :attr:`no_replay`, :attr:`liveness`, the three
+    axiom slots and :attr:`stabilization`) hold the suite's monitor with
+    that ``condition``, or ``None`` when it has none; a report whose slot
+    is empty raises ``ValueError``.
+
     Feed events either by subscribing to a recording trace::
 
         checks = StreamingChecks()
@@ -588,47 +594,41 @@ class StreamingChecks:
         stabilization: bool = False,
         stabilization_window: int = 8,
     ) -> None:
-        self.causality = CausalityMonitor()
-        self.order = OrderMonitor()
-        self.no_duplication = NoDuplicationMonitor()
-        self.no_replay = NoReplayMonitor()
-        self.liveness: Optional[LivenessMonitor] = None
-        self.axiom1: Optional[Axiom1Monitor] = None
-        self.axiom2: Optional[Axiom2Monitor] = None
-        self.axiom3: Optional[Axiom3BoundedMonitor] = None
-        self.stabilization = None
-        if monitors is not None:
-            self.monitors: Tuple[StreamMonitor, ...] = tuple(monitors)
-        else:
-            suite: List[StreamMonitor] = [
-                self.causality,
-                self.order,
-                self.no_duplication,
-                self.no_replay,
+        if monitors is None:
+            monitors = [
+                CausalityMonitor(),
+                OrderMonitor(),
+                NoDuplicationMonitor(),
+                NoReplayMonitor(),
             ]
             if liveness:
-                self.liveness = LivenessMonitor()
-                suite.append(self.liveness)
+                monitors.append(LivenessMonitor())
             if axioms:
-                self.axiom1 = Axiom1Monitor()
-                self.axiom2 = Axiom2Monitor()
-                self.axiom3 = Axiom3BoundedMonitor(window=axiom3_window)
-                suite += [self.axiom1, self.axiom2, self.axiom3]
+                monitors += [
+                    Axiom1Monitor(),
+                    Axiom2Monitor(),
+                    Axiom3BoundedMonitor(window=axiom3_window),
+                ]
             if stabilization:
                 # Imported lazily: stabilization.py builds on this module.
                 from repro.checkers.stabilization import StabilizationMonitor
 
-                self.stabilization = StabilizationMonitor(
-                    scrub=(
-                        self.causality,
-                        self.order,
-                        self.no_duplication,
-                        self.no_replay,
-                    ),
-                    window=stabilization_window,
+                monitors.append(
+                    StabilizationMonitor(
+                        scrub=monitors[:4], window=stabilization_window
+                    )
                 )
-                suite.append(self.stabilization)
-            self.monitors = tuple(suite)
+        self.monitors: Tuple[StreamMonitor, ...] = tuple(monitors)
+        slot = {monitor.condition: monitor for monitor in self.monitors}.get
+        self.causality = slot("causality")
+        self.order = slot("order")
+        self.no_duplication = slot("no-duplication")
+        self.no_replay = slot("no-replay")
+        self.liveness = slot("liveness")
+        self.axiom1 = slot("axiom-1")
+        self.axiom2 = slot("axiom-2")
+        self.axiom3 = slot("axiom-3")
+        self.stabilization = slot("stabilization")
         self._table = _build_table(self.monitors)
         self.events_seen = 0
         self._timed = timed
@@ -691,12 +691,12 @@ class StreamingChecks:
 
     def safety_report(self) -> SafetyReport:
         """The four safety verdicts over everything observed so far."""
-        return SafetyReport(
-            causality=self.causality.report(),
-            order=self.order.report(),
-            no_duplication=self.no_duplication.report(),
-            no_replay=self.no_replay.report(),
-        )
+        safety = (self.causality, self.order, self.no_duplication, self.no_replay)
+        if None in safety:
+            raise ValueError(
+                "this StreamingChecks was built without all four safety monitors"
+            )
+        return SafetyReport(*(monitor.report() for monitor in safety))
 
     def liveness_report(self, run_completed: bool) -> CheckReport:
         """The liveness verdict (requires the default or liveness monitor)."""

@@ -47,7 +47,6 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
-    Union,
 )
 
 from repro.core.events import (

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.adversary.replay import ReplayAttacker
@@ -52,6 +52,14 @@ from repro.baselines.naive_handshake import make_naive_handshake_link
 from repro.checkers.safety import check_all_safety
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
+from repro.perf.bench import (
+    BENCH_GROUPS,
+    _floor_failures,
+    compare_payloads,
+    dump,
+    load,
+    run_bench,
+)
 from repro.sim.runner import RunSpec, monte_carlo
 from repro.sim.simulator import ENGINES, Simulator
 from repro.sim.workload import SequentialWorkload
@@ -133,11 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="supervised fault-tolerant Monte-Carlo campaign",
     )
     camp.add_argument("--runs", type=int, default=50)
-    camp.add_argument("--jobs", "--workers", type=int, default=2, dest="jobs",
-                      help="parallel worker processes")
-    camp.add_argument("--chunk-size", type=int, default=None,
-                      help="runs per dispatched shard (default: auto-size "
-                           "to about four shards per worker)")
+    camp.add_argument("--jobs", type=int, default=2,
+                      help="parallel worker processes (shards auto-size "
+                           "to about four per worker)")
     camp.add_argument("--timeout", type=float, default=None,
                       help="per-run wall-clock budget in seconds")
     camp.add_argument("--retries", type=int, default=0,
@@ -266,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--threshold", type=float, default=0.25,
                        help="allowed relative drop in the gated ratios")
     bench.add_argument("--base-seed", type=int, default=0)
-    bench.add_argument("--only", choices=["all", "kernel", "relay"],
+    bench.add_argument("--only", choices=BENCH_GROUPS,
                        default="all",
                        help='"kernel" runs just the step-kernel speedup leg '
                             '(the CI kernel-differential job); "relay" runs '
@@ -586,7 +592,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             artifacts_dir=args.artifacts_dir,
-            chunk_size=args.chunk_size,
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -744,25 +749,9 @@ def _render_kernel_table(kernel: dict) -> str:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
-    from repro.perf.bench import (
-        compare_payloads,
-        dump,
-        load,
-        run_bench,
-        run_kernel_bench,
-        run_relay_bench,
+    runner = lambda: run_bench(
+        quick=args.quick, base_seed=args.base_seed, only=args.only
     )
-
-    if args.only == "kernel":
-        runner = lambda: run_kernel_bench(
-            quick=args.quick, base_seed=args.base_seed
-        )
-    elif args.only == "relay":
-        runner = lambda: run_relay_bench(
-            quick=args.quick, base_seed=args.base_seed
-        )
-    else:
-        runner = lambda: run_bench(quick=args.quick, base_seed=args.base_seed)
     if args.profile:
         profile_path = (
             os.path.join(
@@ -877,8 +866,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"regression gate passed (threshold {args.threshold:.0%})")
     else:
         # Absolute floors gate even without a baseline to compare against.
-        from repro.perf.bench import _floor_failures
-
         failures = _floor_failures(payload)
         if failures:
             for failure in failures:

@@ -28,7 +28,7 @@ adversarial schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bitstrings import BitString, TAU_PRIME_CRASH

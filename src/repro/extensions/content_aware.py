@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.adversary.base import (
     CRASH_RECEIVER,

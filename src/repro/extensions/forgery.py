@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque
 
 from repro.adversary.base import (
     PASS,
     Adversary,
-    Deliver,
     Move,
     make_deliver,
 )

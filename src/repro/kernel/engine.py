@@ -609,7 +609,7 @@ def step_loop(sim, feed=None, gate=None):
                 pending = -cmd
 
             # ----------------------------------------------------------
-            # Step loop (phase order mirrors Simulator._run_object exactly).
+            # Step loop (phase order mirrors Simulator.step exactly).
             # ----------------------------------------------------------
 
             while True:
@@ -889,8 +889,8 @@ def step_loop(sim, feed=None, gate=None):
                                 rel_pend.clear()
                     elif generic:
                         # The real adversary object decides, as in
-                        # Simulator._run_object; a deliver or crash falls
-                        # through to the dispatch below.
+                        # Simulator.step; a deliver or crash falls through
+                        # to the dispatch below.
                         if adv_decide is not None:
                             adv._moves_made += 1
                             move = adv_decide()

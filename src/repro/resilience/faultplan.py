@@ -30,7 +30,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.adversary.base import (
     CRASH_RECEIVER,
@@ -38,7 +38,6 @@ from repro.adversary.base import (
     PASS,
     Adversary,
     Corrupt,
-    Deliver,
     Move,
     make_deliver,
 )

@@ -24,7 +24,7 @@ slowed by no more than the share of ticks its network is cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reliability import (
     MAX_LINKS,

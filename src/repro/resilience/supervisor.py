@@ -20,9 +20,9 @@ production harness needs:
   produced data, with the missing runs reported explicitly per status
   instead of silently dropped.
 
-Dispatch is **sharded**: runs are grouped into chunks of
-``CampaignConfig.chunk_size`` (auto-sized by default) so one pool task
-executes many seeds in a single worker round-trip.  Inside a shard the
+Dispatch is **sharded**: runs are grouped into shards, auto-sized from
+``jobs`` and the run count (:meth:`CampaignConfig.resolve_chunk_size`),
+so one pool task executes many seeds in a single worker round-trip.  Inside a shard the
 worker recycles one :class:`~repro.sim.runner.RunSession` — simulator,
 channels, trace and streaming checkers are reset per run instead of
 rebuilt — and streams back compact tuple-encoded summaries
@@ -35,9 +35,8 @@ per pool exactly as before.
 Determinism: every per-run seed is ``derive_run_seed(base_seed, index,
 attempt)`` — shared with serial :func:`~repro.sim.runner.monte_carlo` —
 and retry/blame decisions depend only on per-run results, so a campaign's
-reports are identical for any ``jobs``/``chunk_size`` combination,
-including fully serial in-process execution (wall-clock ``duration``
-aside).
+reports are identical for any ``jobs``, including fully serial
+in-process execution (wall-clock ``duration`` aside).
 
 Workers inherit the (possibly unpicklable) spec by forking, so arbitrary
 ``RunSpec`` factories — lambdas included — work unchanged.  On platforms
@@ -233,7 +232,6 @@ class CampaignConfig:
     artifacts_dir: Optional[str] = None
     capture_traces: bool = True  # archive traces of non-ok runs
     in_process: bool = False  # debugging: skip the pool entirely
-    chunk_size: Optional[int] = None  # runs per pool task; None = auto
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -242,19 +240,15 @@ class CampaignConfig:
             raise ValueError("retries must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 (or None for auto)")
 
     def resolve_chunk_size(self, runs: int) -> int:
-        """The shard size actually used for a campaign of ``runs`` runs.
+        """The shard size used for a campaign of ``runs`` runs.
 
-        Auto mode targets ~4 shards per worker: big enough to amortize the
-        pool round-trip and per-shard session warm-up, small enough that a
+        It targets ~4 shards per worker: big enough to amortize the pool
+        round-trip and per-shard session warm-up, small enough that a
         straggler or a mid-shard worker death forfeits little work.  Capped
         at 32 so huge campaigns still rebalance across workers.
         """
-        if self.chunk_size is not None:
-            return self.chunk_size
         return max(1, min(32, -(-runs // (self.jobs * 4))))
 
 
@@ -620,9 +614,8 @@ class CampaignResult:
         """True campaign throughput: data-run steps over campaign wall time.
 
         Divides by the supervisor's single wall-clock measurement, so this
-        *does* scale with workers and shrinks with dispatch overhead — the
-        number the batched-dispatch benchmark compares.  0.0 on results
-        that were built without a measured campaign duration.
+        *does* scale with workers and shrinks with dispatch overhead.  0.0
+        on results that were built without a measured campaign duration.
         """
         if self.wall_seconds <= 0.0:
             return 0.0

@@ -1,6 +1,5 @@
 """Simulation harness: the operational composition ``D(A, ADV)``."""
 
-from repro.sim.experiment import Sweep, SweepResult, SweepRow
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
 from repro.sim.runner import (
     MonteCarloResult,
@@ -28,9 +27,6 @@ __all__ = [
     "SimulationMetrics",
     "SimulationResult",
     "Simulator",
-    "Sweep",
-    "SweepResult",
-    "SweepRow",
     "Workload",
     "monte_carlo",
     "run_once",

@@ -19,7 +19,7 @@ next to violation rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.channel.channel import ChannelPair
 from repro.core.protocol import DataLink

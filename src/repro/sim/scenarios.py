@@ -16,7 +16,7 @@ or from the shell::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.adversary.base import Adversary
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
@@ -29,7 +29,7 @@ from repro.adversary.random_faults import (
 )
 from repro.adversary.replay import ReplayAttacker
 from repro.checkers.safety import SafetyReport, check_all_safety
-from repro.core.protocol import DataLink, make_data_link
+from repro.core.protocol import make_data_link
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.workload import SequentialWorkload
 

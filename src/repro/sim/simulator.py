@@ -238,8 +238,8 @@ class Simulator:
         self._adversary = adversary
         self._adversary.bind(RandomSource(seed).fork("adversary"))
         # When the adversary uses the stock Adversary.next_move (every
-        # in-tree one does), run() folds its bookkeeping into the loop and
-        # calls _decide directly — one call frame per step instead of two.
+        # in-tree one does), the kernel folds its bookkeeping into the loop
+        # and calls _decide directly — one call frame per step instead of two.
         self._adversary_decide = (
             adversary._decide
             if type(adversary).next_move is Adversary.next_move
@@ -319,10 +319,8 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute until the workload is fully acknowledged or budget runs out.
 
-        The kernel engine runs :func:`repro.kernel.engine.run_kernel`.  The
-        object engine's loop body inlines :meth:`step` (sans the call
-        frames) because this is its hottest couple of lines; keep the two
-        in sync.  :meth:`step` remains the single-step API.
+        The kernel engine runs :func:`repro.kernel.engine.run_kernel`; the
+        object engine loops :meth:`step`.
         """
         self._read_recording_flags()
         if self._engine == "kernel":
@@ -330,7 +328,17 @@ class Simulator:
 
             wall_seconds = run_kernel(self)
         else:
-            wall_seconds = self._run_object()
+            # A prior kernel run on this simulator may have parked flat
+            # packet tuples on the channels; step() works on packet objects.
+            self._t_to_r._materialize()
+            self._r_to_t._materialize()
+            step = self.step
+            max_steps = self._max_steps
+            started = perf_counter()
+            while self._steps < max_steps and not self._finished():
+                step()
+            wall_seconds = perf_counter() - started
+            self._flush_tallies()
         checks = self._checks
         return SimulationResult(
             trace=self._trace,
@@ -347,61 +355,9 @@ class Simulator:
             checks=checks,
         )
 
-    def _run_object(self) -> float:
-        """The object engine's loop; returns its wall seconds."""
-        # A prior kernel run on this simulator may have parked flat packet
-        # tuples on the channels; the object loop works on packet objects.
-        self._channels.t_to_r._materialize()
-        self._channels.r_to_t._materialize()
-        submit = self._maybe_submit_message
-        fire_retry = self._fire_retry
-        adversary = self._adversary
-        adv_decide = self._adversary_decide
-        next_move = adversary.next_move
-        deliver = self._deliver
-        execute = self._execute_move
-        metrics = self._metrics
-        retry_every = self._retry_every
-        max_steps = self._max_steps
-        steps = self._steps
-        started = perf_counter()
-        while steps < max_steps:
-            if (
-                self._workload_exhausted
-                and self._next_message is None
-                and not self._tx_busy
-            ):
-                break
-            steps += 1
-            self._steps = steps
-            if not self._tx_busy and self._next_message is not None:
-                submit()
-            countdown = self._retry_countdown - 1
-            if countdown:
-                self._retry_countdown = countdown
-            else:
-                self._retry_countdown = retry_every
-                fire_retry()
-            if adv_decide is not None:
-                adversary._moves_made += 1
-                move = adv_decide()
-            else:
-                move = next_move()
-            if type(move) is Deliver:
-                deliver(move)
-            else:
-                execute(move)
-            self._storage_countdown -= 1
-            if not self._storage_countdown:
-                self._storage_countdown = self._storage_sample_every
-                metrics.sample_storage()
-        wall_seconds = perf_counter() - started
-        self._flush_tallies()
-        return wall_seconds
-
     def step(self) -> None:
         """One simulation step: higher layer, RETRY cadence, adversary move,
-        storage probe (the body :meth:`run` inlines)."""
+        storage probe (the object engine's only spelling of a step)."""
         self._steps += 1
         if not self._tx_busy and self._next_message is not None:
             self._maybe_submit_message()

@@ -15,7 +15,7 @@ transmitter is idle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.core.exceptions import AxiomViolationError
 from repro.core.random_source import RandomSource

@@ -13,7 +13,7 @@ deployment of Section 1 — and the Section 2.6 checkers apply unchanged.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.adversary.base import (
     PASS,

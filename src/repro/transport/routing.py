@@ -21,7 +21,7 @@ latencies), but contents are never modified.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.random_source import RandomSource

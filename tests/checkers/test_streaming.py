@@ -20,12 +20,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkers.axioms import check_axiom1, check_axiom2, check_axiom3_bounded
 from repro.checkers.liveness import check_liveness, progress_gaps
 from repro.checkers.safety import check_all_safety
-from repro.checkers.streaming import StreamingChecks
+from repro.checkers.endtoend import SequentialOrderMonitor
+from repro.checkers.streaming import (
+    CausalityMonitor,
+    LivenessMonitor,
+    NoDuplicationMonitor,
+    NoReplayMonitor,
+    ProgressGapMonitor,
+    StreamingChecks,
+)
 from repro.checkers.trace import Trace
 from repro.core.events import (
     ChannelId,
@@ -125,8 +134,6 @@ def test_tail_retention_does_not_perturb_observers(event_list):
 def test_progress_gap_monitor_equals_batch(event_list):
     batch = progress_gaps(Trace(event_list))
     trace = Trace(retain="none")
-    from repro.checkers.streaming import ProgressGapMonitor
-
     monitor = ProgressGapMonitor()
     checks = StreamingChecks(monitors=[monitor])
     trace.subscribe(checks.observe, types=checks.observed_types)
@@ -230,3 +237,42 @@ def test_zoo_lossy_random_faults_parity():
     for index in range(3):
         safety = _assert_retention_parity(spec, split_seed(11, "run", index))
         assert safety.passed
+
+
+def test_supplied_monitors_fill_the_report_slots():
+    # The report reads the monitors that ran: a supplied order monitor that
+    # saw a wrong delivery fails the order slot instead of leaving a default
+    # monitor's empty pass in it.
+    order = SequentialOrderMonitor()
+    liveness = LivenessMonitor()
+    checks = StreamingChecks(
+        monitors=[
+            CausalityMonitor(),
+            order,
+            NoDuplicationMonitor(),
+            NoReplayMonitor(),
+            liveness,
+        ]
+    )
+    assert checks.order is order and checks.liveness is liveness
+    for index, event in enumerate(
+        [SendMsg(message=b"a"), SendMsg(message=b"b"), ReceiveMsg(message=b"b")]
+    ):
+        checks.observe(index, event)
+    report = checks.safety_report().order
+    assert report.trials == 1
+    assert not report.passed
+    assert checks.liveness_report(run_completed=True).trials == 2
+
+
+def test_report_without_its_monitor_raises():
+    checks = StreamingChecks(monitors=[ProgressGapMonitor()])
+    assert checks.order is None
+    for report in (
+        checks.safety_report,
+        lambda: checks.liveness_report(run_completed=True),
+        checks.axiom_reports,
+        checks.stabilization_report,
+    ):
+        with pytest.raises(ValueError):
+            report()

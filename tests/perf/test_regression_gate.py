@@ -33,12 +33,9 @@ def payload_with_ratios(**ratios) -> dict:
 
 
 def full_ratios(value: float) -> dict:
-    # The gates with the default threshold and no absolute floor, so the
+    # The gate with the default threshold and no absolute floor, so the
     # arithmetic below is the relative check's alone.
-    return payload_with_ratios(
-        campaign_dispatch_speedup=value,
-        stabilization_overhead=value,
-    )
+    return payload_with_ratios(stabilization_overhead=value)
 
 
 GATED = len(full_ratios(1.0)["ratios"])
@@ -46,10 +43,6 @@ GATED = len(full_ratios(1.0)["ratios"])
 
 def test_gate_ratios_from_results():
     results = {
-        "campaign": {
-            "per_run": {"steps_per_second": 10_000.0},
-            "batched": {"steps_per_second": 35_000.0},
-        },
         "live": {
             "lanes_1": {"messages_per_second": 100.0},
             "lanes_8": {"messages_per_second": 550.0},
@@ -72,7 +65,6 @@ def test_gate_ratios_from_results():
     }
     ratios = gate_ratios(results)
     assert ratios == {
-        "campaign_dispatch_speedup": pytest.approx(3.5),
         "live_lane_speedup": pytest.approx(5.5),
         "stabilization_overhead": pytest.approx(0.8),
         "kernel_steps_speedup": pytest.approx(6.0),
@@ -84,10 +76,10 @@ def test_gate_ratios_from_results():
     assert set(ratios) == set(_GATE_KEYS)
 
 
-def test_gate_ratios_without_campaign_results():
-    # Payloads predating the campaign benchmark still produce the other
-    # ratios instead of KeyError-ing, and so does a relay leg recorded
-    # before it took paired medians.
+def test_gate_ratios_skip_absent_legs():
+    # A payload without some legs (an --only run, or one predating a leg)
+    # still produces the other ratios instead of KeyError-ing, and so does
+    # a relay leg recorded before it took paired medians.
     results = {
         "stabilization": {
             "plain": {"steps_per_second": 200.0},
@@ -99,9 +91,32 @@ def test_gate_ratios_without_campaign_results():
         },
     }
     ratios = gate_ratios(results)
-    assert "campaign_dispatch_speedup" not in ratios
-    assert "relay_hop_efficiency" not in ratios
-    assert ratios["stabilization_overhead"] == pytest.approx(0.8)
+    assert ratios == {"stabilization_overhead": pytest.approx(0.8)}
+
+
+def test_run_bench_builds_every_only_choice_from_the_leg_table(monkeypatch):
+    ran = []
+    legs = ("live", "stabilization", "kernel", "relay", "relay_kernel",
+            "relay_stripe")
+    for leg in legs:
+        monkeypatch.setattr(
+            bench, f"_bench_{leg}", lambda *args, leg=leg: ran.append(leg) or {}
+        )
+    expected = {
+        "all": list(legs),
+        "kernel": ["kernel"],
+        "relay": ["relay", "relay_kernel", "relay_stripe"],
+    }
+    assert tuple(expected) == bench.BENCH_GROUPS
+    for only, names in expected.items():
+        ran.clear()
+        payload = bench.run_bench(quick=True, base_seed=3, only=only)
+        assert ran == names
+        assert list(payload["results"]) == names
+        assert payload["quick"] is True
+        assert payload["config"] == {**bench._SIZES[True], "base_seed": 3}
+    with pytest.raises(ValueError):
+        bench.run_bench(only="campaign")
 
 
 def test_timed_pairs_warm_up_then_alternate_with_collection_paused():
@@ -169,7 +184,7 @@ def test_check_regression_flags_a_drop():
 
 
 def test_check_regression_flags_missing_current_ratio():
-    current = payload_with_ratios(campaign_dispatch_speedup=1.4)
+    current = payload_with_ratios(live_lane_speedup=1.4)
     failures = check_regression(current, full_ratios(1.4))
     assert any("missing" in failure for failure in failures)
 
@@ -262,15 +277,9 @@ def test_committed_bench_core_passes_its_own_gate():
     baseline = load(str(Path(__file__).resolve().parents[2] / "BENCH_core.json"))
     assert check_regression(baseline, baseline) == []
     assert set(baseline["ratios"]) == set(_GATE_KEYS)
-    for key in (
-        "campaign_dispatch_speedup",
-        "kernel_steps_speedup",
-        "kernel_steps_speedup_lossy",
-    ):
-        assert baseline["ratios"][key] > 1.0
-    # The headline claim of the batched campaign engine: sharded dispatch
-    # clears 3x over per-run dispatch on the recorded lossy campaign.
-    assert baseline["ratios"]["campaign_dispatch_speedup"] >= 3.0
+    # It records exactly the legs of the table and the sizes they read.
+    assert set(baseline["results"]) == {name for name, _, _ in bench._LEGS}
+    assert set(baseline["config"]) == set(bench._SIZES[False]) | {"base_seed"}
     # The step kernel's headline: the committed numbers clear the same
     # absolute floors CI enforces, with the lossy leg above 3x.
     assert baseline["ratios"]["kernel_steps_speedup"] >= 5.0

@@ -2,7 +2,7 @@
 
 The engine's contract is that batching is *pure scheduling*: for a fixed
 ``(spec, runs, base_seed)`` the terminal reports are bit-identical for any
-``jobs``/``chunk_size`` combination, including the in-process path.  These
+``jobs``, whatever shard size that implies, including the in-process path.  These
 tests pin that contract down, plus the pieces it stands on — the compact
 wire codec round-trips losslessly, and a reused :class:`RunSession` (and
 the :meth:`Simulator.reset` underneath it) reproduces per-run construction
@@ -12,8 +12,6 @@ exactly.
 from __future__ import annotations
 
 import dataclasses
-
-import pytest
 
 from repro.adversary.crash import ScheduledCrashAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
@@ -51,47 +49,50 @@ def make_lossy_spec(messages: int = 2) -> RunSpec:
 # -- shard determinism -------------------------------------------------------------
 
 
-def test_fingerprint_identical_across_jobs_and_chunk_sizes():
+def test_fingerprint_identical_across_jobs():
     # The headline determinism claim: every scheduling shape reproduces the
-    # in-process campaign bit for bit.
+    # in-process campaign bit for bit.  Six runs make shards of two at one
+    # job and of one at two jobs.
     spec = make_lossy_spec()
     baseline = run_campaign(
         spec, 6, base_seed=11, config=CampaignConfig(in_process=True)
     ).fingerprint()
-    for jobs in (1, 2):
-        for chunk_size in (1, 2, None):
-            config = CampaignConfig(jobs=jobs, chunk_size=chunk_size)
-            result = run_campaign(spec, 6, base_seed=11, config=config)
-            assert result.fingerprint() == baseline, (
-                f"jobs={jobs} chunk_size={chunk_size} diverged from in-process"
-            )
+    for jobs, shard in ((1, 2), (2, 1)):
+        config = CampaignConfig(jobs=jobs)
+        assert config.resolve_chunk_size(6) == shard
+        result = run_campaign(spec, 6, base_seed=11, config=config)
+        assert result.fingerprint() == baseline, (
+            f"jobs={jobs} diverged from in-process"
+        )
 
 
 def test_mid_campaign_retry_keeps_other_shard_runs_intact():
     # A crash inside a shard retries as a single-run shard; its shard-mates
-    # must still match the serial campaign.
+    # must still match the serial campaign.  Sixteen runs over two workers
+    # make shards of two, so run 3 shares run 2's shard.
     spec = make_paper_spec()
     plan = FaultPlan.of(AbortAt(step=3, run=2))
-    config = CampaignConfig(jobs=2, chunk_size=4, retries=1,
+    config = CampaignConfig(jobs=2, retries=1,
                             backoff_base=0.0, backoff_cap=0.0)
+    assert config.resolve_chunk_size(16) == 2
     serial = run_campaign(
-        spec, 6, base_seed=0, fault_plan=plan,
+        spec, 16, base_seed=0, fault_plan=plan,
         config=CampaignConfig(in_process=True, retries=1,
                               backoff_base=0.0, backoff_cap=0.0),
     )
-    sharded = run_campaign(spec, 6, base_seed=0, config=config, fault_plan=plan)
+    sharded = run_campaign(spec, 16, base_seed=0, config=config, fault_plan=plan)
     assert sharded.fingerprint() == serial.fingerprint()
     assert sharded.reports[2].attempts == 2
     assert sharded.reports[2].seed == derive_run_seed(0, 2, 1)
+    assert sharded.reports[3].attempts == 1
 
 
-def test_resolve_chunk_size_auto_and_explicit():
-    # Auto mode: ~4 shards per worker, capped at 32; explicit wins outright.
+def test_resolve_chunk_size():
+    # ~4 shards per worker, capped at 32.
     assert CampaignConfig(jobs=1).resolve_chunk_size(16) == 4
     assert CampaignConfig(jobs=2).resolve_chunk_size(16) == 2
     assert CampaignConfig(jobs=1).resolve_chunk_size(1024) == 32
     assert CampaignConfig(jobs=1).resolve_chunk_size(1) == 1
-    assert CampaignConfig(jobs=4, chunk_size=7).resolve_chunk_size(1024) == 7
 
 
 # -- wire codec --------------------------------------------------------------------
@@ -228,14 +229,16 @@ def test_session_invalidates_after_in_run_exception():
 def test_monte_carlo_serial_vs_parallel_identical_per_seed_verdicts():
     # The campaign pool must forward retention and factories through the
     # batched engine: same seeds, same statuses, same per-condition counts.
+    # Nine runs over two workers make shards of two, so a pooled session is
+    # reused across runs while its trace keeps only a tail.
     spec = make_lossy_spec()
     spec.retain = "tail"
     spec.tail_size = 32
-    serial = monte_carlo(spec, runs=5, base_seed=13)
-    parallel = run_campaign(
-        spec, 5, base_seed=13, config=CampaignConfig(jobs=2, chunk_size=2)
-    )
-    assert parallel.status_counts["ok"] == 5
+    config = CampaignConfig(jobs=2)
+    assert config.resolve_chunk_size(9) == 2
+    serial = monte_carlo(spec, runs=9, base_seed=13)
+    parallel = run_campaign(spec, 9, base_seed=13, config=config)
+    assert parallel.status_counts["ok"] == 9
     for outcome, report in zip(serial.outcomes, parallel.reports):
         assert report.seed == outcome.seed
         assert report.completed == outcome.result.completed

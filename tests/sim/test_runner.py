@@ -7,7 +7,6 @@ import pytest
 from repro.adversary.benign import ReliableAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.sim.runner import RunSpec, monte_carlo, run_once
-from repro.sim.workload import SequentialWorkload
 from repro.transport.fabric import FabricSpec
 
 
@@ -66,6 +65,17 @@ class TestMonteCarlo:
     def test_storage_metric(self):
         result = monte_carlo(spec(), runs=3)
         assert result.mean_storage_peak_bits > 0
+
+    def test_loss_increases_cost(self):
+        costs = [
+            monte_carlo(
+                spec(lambda: RandomFaultAdversary(FaultProfile(loss=loss))),
+                runs=3,
+                base_seed=index,
+            ).mean_packets_per_message
+            for index, loss in enumerate((0.0, 0.5))
+        ]
+        assert costs[1] > costs[0]
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):

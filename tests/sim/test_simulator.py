@@ -220,8 +220,8 @@ STEP_ADVERSARIES = {
 
 
 class TestStepMatchesRun:
-    """``run()`` inlines ``step()``; driving ``step()`` must replay it, and
-    ``run()`` must finish an execution that ``step()`` began.
+    """Driving ``step()`` must replay the kernel's ``run()``, and ``run()``
+    must finish an execution that ``step()`` began, on either engine.
 
     All three retention modes are covered: ``"full"`` samples storage every
     step, ``"tail"`` and ``"none"`` every 16 steps, and ``"tail"`` keeps a
@@ -229,7 +229,7 @@ class TestStepMatchesRun:
     """
 
     @staticmethod
-    def build(name, seed, enforce_fairness, retain, engine="object"):
+    def build(name, seed, enforce_fairness, retain, engine):
         return Simulator(
             make_data_link(epsilon=2.0 ** -16, seed=seed),
             STEP_ADVERSARIES[name](),
@@ -260,8 +260,10 @@ class TestStepMatchesRun:
     @pytest.mark.parametrize("name", sorted(STEP_ADVERSARIES))
     def test_step_reproduces_run(self, name, enforce_fairness, retain):
         for seed in range(5):
-            expected = self.build(name, seed, enforce_fairness, retain).run()
-            sim = self.build(name, seed, enforce_fairness, retain)
+            expected = self.build(
+                name, seed, enforce_fairness, retain, "kernel"
+            ).run()
+            sim = self.build(name, seed, enforce_fairness, retain, "object")
             while not sim.finished and sim.steps_taken < sim.max_steps:
                 sim.step()
             steps = sim.steps_taken
@@ -281,7 +283,9 @@ class TestStepMatchesRun:
         # them; the kernel takes over the object loop's state mid-execution.
         for seed in range(3):
             for enforce_fairness in (True, False):
-                expected = self.build(name, seed, enforce_fairness, retain).run()
+                expected = self.build(
+                    name, seed, enforce_fairness, retain, "kernel"
+                ).run()
                 for prefix in (1, 7, 50):
                     sim = self.build(name, seed, enforce_fairness, retain, engine)
                     for _ in range(prefix):

@@ -32,6 +32,17 @@ class TestParser:
         assert args.fault_plan is None
         assert args.artifacts_dir is None
 
+    @pytest.mark.parametrize("argv", [
+        ["--chunk-size", "4"],
+        ["--workers", "2"],
+    ], ids=["chunk-size", "workers"])
+    def test_campaign_rejects_retired_dispatch_flags(self, argv, capsys):
+        # Shards auto-size from --jobs and --runs; --jobs has no alias.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["campaign", *argv])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_shrink_requires_plan_and_seed(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["shrink", "--seed", "1"])
