@@ -49,7 +49,6 @@ __all__ = [
     "MAX_LANES",
     "encode_packet",
     "encode_packet_into",
-    "packet_wire_bytes",
     "decode_packet",
     "encode_lane_frame",
     "decode_lane_frame",
@@ -96,7 +95,7 @@ def _encode_bitstring_into(buf: bytearray, offset: int, bits: BitString) -> int:
     """Write :func:`_encode_bitstring`'s output at ``buf[offset:]``.
 
     Returns the new offset.  The caller guarantees capacity (see
-    :func:`packet_wire_bytes`); ``struct.pack_into`` raises on a short
+    :func:`encode_packet_into`); ``struct.pack_into`` raises on a short
     buffer rather than silently extending it the way slice assignment on a
     ``bytearray`` would.
     """
@@ -109,6 +108,9 @@ def _encode_bitstring_into(buf: bytearray, offset: int, bits: BitString) -> int:
     return offset + nbytes
 
 
+_trusted_bits = BitString._trusted
+
+
 def _decode_bitstring(data: ReadableBuffer, offset: int) -> "tuple[BitString, int]":
     if offset + 4 > len(data):
         raise CodecError("truncated bit-string length")
@@ -118,8 +120,10 @@ def _decode_bitstring(data: ReadableBuffer, offset: int) -> "tuple[BitString, in
     if offset + nbytes > len(data):
         raise CodecError("truncated bit-string body")
     raw = int.from_bytes(data[offset : offset + nbytes], "big")
+    # ``raw`` has ``nbytes * 8`` bits, so the shifted value fits in ``n``:
+    # the range checks of ``from_int`` cannot fail here.
     value = raw >> (nbytes * 8 - n) if n else 0
-    return BitString.from_int(value, n), offset + nbytes
+    return _trusted_bits(value, n), offset + nbytes
 
 
 @dataclass(frozen=True, **_SLOTS)
@@ -230,19 +234,6 @@ def encode_packet(packet: Packet) -> bytes:
     raise CodecError(f"not a protocol packet: {type(packet).__name__}")
 
 
-def packet_wire_bytes(packet: Packet) -> int:
-    """Byte length of ``encode_packet(packet)``, without encoding.
-
-    The batched wire sizes its pooled send buffers with this before calling
-    :func:`encode_packet_into`; it is ``wire_length_bits // 8`` but named
-    separately because callers here want a buffer size, not an
-    adversary-visible length.
-    """
-    if isinstance(packet, (DataPacket, PollPacket)):
-        return packet.wire_length_bits // 8
-    raise CodecError(f"not a protocol packet: {type(packet).__name__}")
-
-
 def encode_packet_into(buf: bytearray, offset: int, packet: Packet) -> int:
     """Serialise ``packet`` into ``buf`` at ``offset``; return the end offset.
 
@@ -250,7 +241,7 @@ def encode_packet_into(buf: bytearray, offset: int, packet: Packet) -> int:
     the intermediate ``bytes`` objects: fields are packed straight into the
     caller's (pooled, reusable) buffer.  A lane or session prefix is the
     caller's slice-prefix write before ``offset`` — never a concatenation.
-    The caller guarantees ``len(buf) >= offset + packet_wire_bytes(packet)``.
+    The caller guarantees ``len(buf) >= offset + packet.wire_length_bits // 8``.
     """
     if isinstance(packet, DataPacket):
         buf[offset] = _KIND_DATA
@@ -430,6 +421,10 @@ def decode_packet(data: ReadableBuffer) -> Packet:
     and ``unpack_from`` read any buffer), and only a data packet's message
     payload — which outlives the buffer — is materialized to ``bytes``.
     The view must stay valid for the duration of this call only.
+
+    The packets come from the trusted constructors: every field they would
+    validate is checked here first (the message is ``bytes``, the retry
+    counter an unsigned field).
     """
     if not data:
         raise CodecError("empty packet")
@@ -449,7 +444,7 @@ def decode_packet(data: ReadableBuffer) -> Packet:
         tau, offset = _decode_bitstring(data, offset)
         if offset != len(data):
             raise CodecError("trailing bytes after data packet")
-        return DataPacket(message=message, rho=rho, tau=tau)
+        return make_data_packet(message, rho, tau)
     if kind == _KIND_POLL:
         rho, offset = _decode_bitstring(data, offset)
         tau, offset = _decode_bitstring(data, offset)
@@ -459,5 +454,5 @@ def decode_packet(data: ReadableBuffer) -> Packet:
         offset += 8
         if offset != len(data):
             raise CodecError("trailing bytes after poll packet")
-        return PollPacket(rho=rho, tau=tau, retry=retry)
+        return make_poll_packet(rho, tau, retry)
     raise CodecError(f"unknown packet kind byte 0x{kind:02x}")

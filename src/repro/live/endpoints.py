@@ -24,11 +24,7 @@ import asyncio
 from typing import Callable, List, Optional, Set, Tuple
 
 from repro.core.exceptions import CodecError
-from repro.core.packets import (
-    decode_packet,
-    encode_packet_into,
-    packet_wire_bytes,
-)
+from repro.core.packets import decode_packet, encode_packet_into
 from repro.live.wire import BatchedDatagramIO, BufferPool
 
 __all__ = ["AuditedTimers"]
@@ -56,13 +52,18 @@ class AuditedTimers:
 
     def _call_later(self, delay: float, callback: Callable[..., None], *args):
         """Schedule a tracked one-shot callback (auto-untracked on fire)."""
+        loop = asyncio.get_running_loop()
+        return self._call_at(loop.time() + delay, callback, *args)
+
+    def _call_at(self, when: float, callback: Callable[..., None], *args):
+        """:meth:`_call_later` at loop time ``when`` instead of a delay."""
         handle: Optional[asyncio.TimerHandle] = None
 
         def _fire() -> None:
             self._timers.discard(handle)
             callback(*args)
 
-        handle = asyncio.get_running_loop().call_later(delay, _fire)
+        handle = asyncio.get_running_loop().call_at(when, _fire)
         self._timers.add(handle)
         return handle
 
@@ -98,9 +99,11 @@ class _SocketBase(AuditedTimers):
         self.dropped_while_dead = 0
         self._pool = pool
         self._io: Optional[BatchedDatagramIO] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self._io = BatchedDatagramIO(self._on_datagram, pool=self._pool)
         await self._io.open()
 
@@ -119,17 +122,19 @@ class _SocketBase(AuditedTimers):
         if self._io is not None:
             self._io.close()
 
-    def _send_wire(self, packet, prefix: bytes, encoder=None) -> None:
+    def _send_wire(self, packet, nbytes: int, prefix: bytes, encoder=None) -> None:
         """Encode ``packet`` behind ``prefix`` into a pool buffer and queue it.
 
-        ``encoder``, when given, is a :class:`PollEncoder` whose output
-        already *includes* ``prefix`` — the argument then only sizes the
-        pooled buffer.  No intermediate ``bytes`` is built either way.
+        ``nbytes`` is the datagram's length, prefix included: the caller
+        has it from the ``PktSent`` event it records, so the length is
+        computed once per send.  ``encoder``, when given, is a
+        :class:`PollEncoder` whose output already *includes* ``prefix``.
+        No intermediate ``bytes`` is built either way.
         """
         io = self._io
         if io is None or self._closed:
             return
-        buf = io.pool.acquire(len(prefix) + packet_wire_bytes(packet))
+        buf = io.pool.acquire(nbytes)
         if encoder is not None:
             end = encoder.encode_into(buf, 0, packet)
         else:

@@ -14,14 +14,17 @@ group of one:
   of the canonical packet encoding (:func:`~repro.core.packets.
   encode_lane_frame`), so the socket pair is shared but the protocol
   instances never interact.
-* Messages are striped round-robin: global sequence ``s`` rides lane
-  ``s % K`` under a ``(sequence, attempt)`` stripe header, and the
+* Messages wait in **one slot queue** that every idle lane draws from:
+  each slot travels under a ``(sequence, attempt)`` stripe header, and the
   receiver's shared :class:`~repro.util.resequencer.Resequencer`
-  restores global order.  The ``attempt`` field makes a crash-resubmitted
-  slot a *distinct* message value (Axiom 2) without touching the payload
-  the resequencer releases, and the sequence number lets the resequencer
-  drop the replay when the first incarnation was delivered too — so the
-  application sees every payload exactly once, at any lane count.
+  restores global order.  A slow lane therefore holds one slot, not a
+  fixed share of the stream, and a crashed lane's in-flight slot goes
+  back to the head of the queue for the first free lane.  The ``attempt``
+  field makes that resubmission a *distinct* message value (Axiom 2)
+  without touching the payload the resequencer releases, and the sequence
+  number lets the resequencer drop the replay when the first incarnation
+  was delivered too — so the application sees every payload exactly once,
+  at any lane count.
 * Correctness composes because nothing is weakened per lane: each lane is
   a complete instance of the paper's protocol with its own nonces, its own
   crash-amnesia (a lane crash wipes exactly that automaton and its
@@ -33,9 +36,16 @@ group of one:
 Crash-amnesia: a lane crash wipes the automaton's memory through its own
 ``crash()`` transition (the paper's model: memory dies, the entropy source
 does not) *and* the harness-side volatile state (backoff schedule,
-in-flight bookkeeping, pending timers).  The lane stays dead for
+in-flight bookkeeping, its poll deadline).  The lane stays dead for
 ``restart_delay`` seconds (datagrams arriving meanwhile are lost, as they
 would be at a down host), then cold-restarts.
+
+Poll pacing: each RM lane keeps one poll *deadline*, and the endpoint one
+audited loop timer armed at the earliest of them.  A progress event moves
+its lane's deadline without touching the timer unless the new deadline is
+the earliest; a timer that fires with nothing due re-arms at the new
+earliest deadline.  So the loop sees a timer per wakeup, not a
+``call_later`` per poll that the next progress event cancels.
 
 Adversary visibility stays structural: the chaos proxy peeks the lane id
 and identifier octet through :func:`~repro.core.packets.peek_wire_info` —
@@ -139,7 +149,7 @@ class _TmLane:
     """One transmitter automaton plus its lane-local volatile bookkeeping."""
 
     __slots__ = (
-        "lane", "tm", "log", "prefix", "queue", "current", "oks",
+        "lane", "tm", "log", "prefix", "current", "oks",
         "resubmissions", "crashes", "corruptions", "dead", "out_ids",
         "in_ids", "restart_handle",
     )
@@ -149,7 +159,7 @@ class _TmLane:
         self.tm = tm
         self.log = log
         self.prefix = lane_prefix(lane)  # interned; reused on every send
-        self.queue: Deque["tuple[int, int, bytes]"] = deque()  # (seq, attempt, payload)
+        # The slot in flight: (sequence, attempt, payload).
         self.current: Optional["tuple[int, int, bytes]"] = None
         self.oks = 0
         self.resubmissions = 0
@@ -165,7 +175,7 @@ class _RmLane:
     """One receiver automaton plus its lane-local volatile bookkeeping."""
 
     __slots__ = (
-        "lane", "rm", "log", "backoff", "encoder", "poll_handle",
+        "lane", "rm", "log", "backoff", "encoder", "deadline",
         "restart_handle", "polls", "deliveries", "crashes", "corruptions",
         "dead", "out_ids", "in_ids",
     )
@@ -179,7 +189,9 @@ class _RmLane:
         self.log = log
         self.backoff = backoff
         self.encoder = PollEncoder(lane)  # caches lane byte + (ρ, τ) prefix
-        self.poll_handle = None
+        #: Loop time of this lane's next poll; None while it has no poll
+        #: chain (not started, dead, or the endpoint closed).
+        self.deadline: Optional[float] = None
         self.restart_handle = None
         self.polls = 0
         self.deliveries = 0
@@ -191,12 +203,13 @@ class _RmLane:
 
 
 class LanedTransmitterEndpoint(_SocketBase):
-    """K transmitter lanes draining a striped workload over one socket.
+    """K transmitter lanes draining one slot queue over one socket.
 
-    The global payload stream is striped round-robin at construction;
-    each lane then runs the ordinary one-slot-at-a-time discipline
-    (Axiom 1 *per lane*).  ``on_ok`` fires per acknowledged slot,
-    ``on_done`` once when every slot on every lane is OK'd.
+    The global payload stream is queued in order at construction; each
+    lane runs the ordinary one-slot-at-a-time discipline (Axiom 1 *per
+    lane*) and, whenever it is idle, draws the slot at the head of the
+    shared queue.  ``on_ok`` fires per acknowledged slot, ``on_done`` once
+    when every slot is OK'd.
     """
 
     outbound = ChannelId.T_TO_R
@@ -220,11 +233,12 @@ class LanedTransmitterEndpoint(_SocketBase):
             _TmLane(i, link.transmitter, log)
             for i, (link, log) in enumerate(zip(links, logs))
         ]
-        for sequence, payload in enumerate(payloads):
-            self._lanes[sequence % self.lane_count].queue.append(
-                (sequence, 0, payload)
-            )
-        self.total_slots = len(payloads)
+        #: Slots no lane holds, as (sequence, attempt, payload), head first.
+        self._slots: Deque["tuple[int, int, bytes]"] = deque(
+            (sequence, 0, payload) for sequence, payload in enumerate(payloads)
+        )
+        self.total_slots = len(self._slots)
+        self._oks = 0
         self._on_ok = on_ok
         self._on_done = on_done
 
@@ -237,7 +251,7 @@ class LanedTransmitterEndpoint(_SocketBase):
 
     @property
     def oks(self) -> int:
-        return sum(lane.oks for lane in self._lanes)
+        return self._oks
 
     @property
     def resubmissions(self) -> int:
@@ -249,7 +263,7 @@ class LanedTransmitterEndpoint(_SocketBase):
 
     @property
     def all_delivered(self) -> bool:
-        return self.oks >= self.total_slots
+        return self._oks >= self.total_slots
 
     @property
     def corruptions(self) -> int:
@@ -272,9 +286,9 @@ class LanedTransmitterEndpoint(_SocketBase):
     def _maybe_send_next(self, lane: _TmLane) -> None:
         if lane.dead or self._closed or lane.current is not None:
             return
-        if lane.tm.busy or not lane.queue:
+        if lane.tm.busy or not self._slots:
             return
-        slot = lane.queue.popleft()
+        slot = self._slots.popleft()
         lane.current = slot
         value = frame_stripe(slot[0], slot[1], slot[2])
         lane.log.record(make_send_msg(value))
@@ -287,6 +301,7 @@ class LanedTransmitterEndpoint(_SocketBase):
             elif isinstance(output, EmitOk):
                 lane.log.record(OK)
                 lane.oks += 1
+                self._oks += 1
                 lane.current = None
                 if self._on_ok is not None:
                     self._on_ok()
@@ -300,11 +315,9 @@ class LanedTransmitterEndpoint(_SocketBase):
         lane.out_ids += 1
         # The +8 bits are the lane-frame byte: length as the wire (and the
         # adversary) sees the datagram.
-        lane.log.record(
-            make_pkt_sent(self.outbound, lane.out_ids,
-                          packet.wire_length_bits + 8)
-        )
-        self._send_wire(packet, prefix=lane.prefix)
+        bits = packet.wire_length_bits + 8
+        lane.log.record(make_pkt_sent(self.outbound, lane.out_ids, bits))
+        self._send_wire(packet, bits >> 3, lane.prefix)
 
     def _handle_lane_packet(self, lane_id: int, packet: PollPacket) -> None:
         lane = self._lanes[lane_id]
@@ -328,13 +341,11 @@ class LanedTransmitterEndpoint(_SocketBase):
         lane.log.record(CRASH_T)
         lane.tm.crash()
         if lane.current is not None:
-            # The in-flight framed value died with the memory; re-queue the
-            # slot under the next attempt — a distinct wire value (Axiom 2)
-            # carrying the same payload and sequence number.
-            sequence, attempt, payload = lane.current
-            lane.current = None
-            lane.resubmissions += 1
-            lane.queue.appendleft((sequence, attempt + 1, payload))
+            # The in-flight framed value died with the memory; the slot
+            # goes back to the head of the queue under the next attempt — a
+            # distinct wire value (Axiom 2) carrying the same payload and
+            # sequence number — for the first free lane.
+            self._resubmit(lane)
         lane.restart_handle = self._call_later(
             self.restart_delay, lambda: self._restart_lane(lane)
         )
@@ -357,11 +368,9 @@ class LanedTransmitterEndpoint(_SocketBase):
         lane.corruptions += 1
         lane.log.record(Corruption(station="T", fields=scrambled, seed=seed))
         if not lane.tm.busy and lane.current is not None:
-            sequence, attempt, payload = lane.current
-            lane.current = None
-            lane.resubmissions += 1
-            lane.queue.appendleft((sequence, attempt + 1, payload))
-        self._maybe_send_next(lane)
+            self._resubmit(lane)
+        else:
+            self._maybe_send_next(lane)
         return scrambled
 
     def corrupt(self, seed: int, lane: Optional[int] = None,
@@ -372,6 +381,17 @@ class LanedTransmitterEndpoint(_SocketBase):
         else:
             for i in range(self.lane_count):
                 self.corrupt_lane(i, seed + i, fields)
+
+    def _resubmit(self, lane: _TmLane) -> None:
+        """Return ``lane``'s slot to the queue head and offer it to idle lanes."""
+        sequence, attempt, payload = lane.current
+        lane.current = None
+        lane.resubmissions += 1
+        self._slots.appendleft((sequence, attempt + 1, payload))
+        # Lanes go idle only when the queue runs dry, so an idle lane may be
+        # waiting for exactly this slot.
+        for each in self._lanes:
+            self._maybe_send_next(each)
 
     def _restart_lane(self, lane: _TmLane) -> None:
         lane.restart_handle = None
@@ -386,7 +406,9 @@ class LanedReceiverEndpoint(_SocketBase):
 
     Each lane runs its own poll chain on its own backoff schedule (jitter
     decorrelates the lanes, so polls spread over the RTT instead of
-    bursting).  Deliveries carry the stripe header; the shared
+    bursting); the chains share one timer through the lanes' poll
+    deadlines (see the module docstring).  Deliveries carry the stripe
+    header; the shared
     :class:`Resequencer` releases the longest in-order payload run, and
     ``on_delivery`` fires once per *released* payload — i.e. once per
     payload, in global stream order.
@@ -416,6 +438,9 @@ class LanedReceiverEndpoint(_SocketBase):
         self.resequencer = Resequencer()
         self._on_progress = on_progress
         self._on_delivery = on_delivery
+        # The endpoint's one poll timer and the loop time it is armed for.
+        self._poll_handle = None
+        self._poll_when: Optional[float] = None
 
     async def start(self) -> None:
         await super().start()
@@ -473,38 +498,59 @@ class LanedReceiverEndpoint(_SocketBase):
             [lane.log.safety_report() for lane in self._lanes]
         )
 
-    # -- per-lane poll chain -----------------------------------------------------
+    # -- per-lane poll chains on one timer ---------------------------------------
 
     def _poll_tick(self, lane: _RmLane) -> None:
-        lane.poll_handle = None
-        if lane.dead or self._closed:
-            return
-        self._send_poll(lane)
-        lane.poll_handle = self._call_later(
-            lane.backoff.next_delay(), lambda: self._poll_tick(lane)
-        )
+        """Poll ``lane`` now; arm the timer if its next poll is the earliest."""
+        self._poll(lane)
+        when = lane.deadline
+        if when is not None and (self._poll_when is None or when < self._poll_when):
+            self._arm_poll_timer(when)
 
-    def _send_poll(self, lane: _RmLane) -> None:
+    def _poll(self, lane: _RmLane) -> None:
+        """Send one poll and set the lane's next deadline (timer untouched)."""
         if lane.dead or self._closed:
+            lane.deadline = None
             return
         lane.log.record(RETRY)
         lane.polls += 1
         for output in lane.rm.retry():
             if isinstance(output, EmitPacket):
                 self._send_packet(lane, output.packet)
+        lane.deadline = self._loop.time() + lane.backoff.next_delay()
+
+    def _arm_poll_timer(self, when: float) -> None:
+        self._cancel_timer(self._poll_handle)
+        self._poll_when = when
+        self._poll_handle = self._call_at(when, self._on_poll_timer)
+
+    def _on_poll_timer(self) -> None:
+        """The poll timer fired: poll every due lane, re-arm at the earliest."""
+        # Due means no later than the time the timer was armed for: a loop
+        # may run a timer up to a clock tick early, and asking by how much
+        # would mean reading the loop's private state.
+        due = max(self._loop.time(), self._poll_when)
+        self._poll_handle = self._poll_when = None
+        earliest = None
+        for lane in self._lanes:
+            if lane.deadline is not None and lane.deadline <= due:
+                self._poll(lane)
+            when = lane.deadline
+            if when is not None and (earliest is None or when < earliest):
+                earliest = when
+        if earliest is not None:
+            self._arm_poll_timer(earliest)
 
     def _send_packet(self, lane: _RmLane, packet) -> None:
         lane.out_ids += 1
-        lane.log.record(
-            make_pkt_sent(self.outbound, lane.out_ids,
-                          packet.wire_length_bits + 8)
-        )
+        bits = packet.wire_length_bits + 8
+        lane.log.record(make_pkt_sent(self.outbound, lane.out_ids, bits))
         if type(packet) is PollPacket:
             # The encoder's cached prefix covers the lane byte + (ρ, τ).
-            self._send_wire(packet, prefix=lane_prefix(lane.lane),
+            self._send_wire(packet, bits >> 3, lane_prefix(lane.lane),
                             encoder=lane.encoder)
         else:
-            self._send_wire(packet, prefix=lane_prefix(lane.lane))
+            self._send_wire(packet, bits >> 3, lane_prefix(lane.lane))
 
     def _handle_lane_packet(self, lane_id: int, packet: DataPacket) -> None:
         lane = self._lanes[lane_id]
@@ -529,9 +575,8 @@ class LanedReceiverEndpoint(_SocketBase):
             if self._on_progress is not None:
                 self._on_progress()
             # Ack immediately and restart this lane's chain at the reset
-            # backoff; sibling lanes' chains are untouched.
-            self._cancel_timer(lane.poll_handle)
-            lane.poll_handle = None
+            # backoff (a new deadline); sibling lanes' deadlines are
+            # untouched.
             self._poll_tick(lane)
 
     def _accept_delivery(self, message: bytes) -> None:
@@ -550,10 +595,11 @@ class LanedReceiverEndpoint(_SocketBase):
             return
         lane.dead = True
         lane.crashes += 1
-        # The lane's volatile timers die with its memory — a poll scheduled
-        # before the crash must never fire into the restarted automaton.
-        self._cancel_timer(lane.poll_handle)
-        lane.poll_handle = None
+        # The lane's poll deadline dies with its memory — a poll due before
+        # the crash must never fire into the restarted automaton.  The
+        # shared timer stays armed; if it fires for this deadline, it finds
+        # nothing due and re-arms at the siblings' earliest.
+        lane.deadline = None
         self._cancel_timer(lane.restart_handle)
         lane.log.record(CRASH_R)
         lane.rm.crash()

@@ -36,6 +36,13 @@ Adversary visibility is enforced structurally: the proxy inspects traffic
 only through :func:`~repro.core.packets.peek_wire_info` — identifier octet
 and datagram length, exactly what Section 2.3 grants the adversary — and
 never decodes payloads.
+
+Hot path: the scripted events sit in the plan's *turn span*, from its
+first scripted turn to its last.  A datagram outside that span, arriving
+while nothing is held and the link is not paused, skips the scripted
+checks (release, control events, drop and stall windows, pause, bursts):
+none of them could act on it.  The turn clock, the peek and the stochastic
+draws are the same on both paths, so the proxy's tape does not change.
 """
 
 from __future__ import annotations
@@ -160,6 +167,7 @@ class ChaosProxy(AuditedTimers):
         self._aborts: Dict[int, bool] = {}
         self._drops: List[DropWindow] = []
         self._stalls: List[StallWindow] = []
+        first = last = None
         for event in self.plan.events:
             if isinstance(event, CrashAt):
                 self._crashes.setdefault(event.step, []).append(event.station)
@@ -181,6 +189,19 @@ class ChaosProxy(AuditedTimers):
                 self._drops.append(event)
             elif isinstance(event, StallWindow):
                 self._stalls.append(event)
+            else:
+                continue  # a topology event: nothing here acts on it
+            # Every event filed above widens the plan's turn span.
+            if isinstance(event, (DropWindow, StallWindow)):
+                lo, hi = event.start, event.end
+            else:
+                lo = hi = event.step
+            first = lo if first is None else min(first, lo)
+            last = hi if last is None else max(last, hi)
+        # The turn span, [first, last]; empty when no event was filed.
+        self._first_turn, self._last_turn = (
+            (1, 0) if first is None else (first, last)
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -260,19 +281,26 @@ class ChaosProxy(AuditedTimers):
                 self.stats.by_lane.get(info.lane, 0) + 1
             )
 
-        self._maybe_release_held(turn)
-        self._fire_control_events(turn, info.lane)
-
-        if self._scripted_drop(turn, channel):
-            self.stats.dropped += 1
-            return
-        if self._in_stall(turn) or self._is_paused():
-            self.stats.stalled += 1
-            # Held datagrams outlive the drain chunk: copy a borrowed view.
-            self._held.append(
-                (channel, data if type(data) is bytes else bytes(data))
-            )
-            return
+        # The fast path: outside the plan's turn span, with nothing held
+        # and the link not paused, every scripted check below is a no-op.
+        scripted = (
+            self._first_turn <= turn <= self._last_turn
+            or self._held
+            or self._paused_until is not None
+        )
+        if scripted:
+            self._maybe_release_held(turn)
+            self._fire_control_events(turn, info.lane)
+            if self._scripted_drop(turn, channel):
+                self.stats.dropped += 1
+                return
+            if self._in_stall(turn) or self._is_paused():
+                self.stats.stalled += 1
+                # Held datagrams outlive the drain chunk: copy a borrowed view.
+                self._held.append(
+                    (channel, data if type(data) is bytes else bytes(data))
+                )
+                return
         if self.profile.drop and self._rng.bernoulli(self.profile.drop):
             self.stats.dropped += 1
             return
@@ -297,7 +325,8 @@ class ChaosProxy(AuditedTimers):
                 self._forward(
                     channel, data, delay + (k + 1) * self.profile.duplicate_gap
                 )
-        self._fire_duplicate_bursts(turn)
+        if scripted:
+            self._fire_duplicate_bursts(turn)
 
     def _fire_control_events(self, turn: int, lane: Optional[int] = None) -> None:
         if turn in self._aborts:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.adversary.benign import ReliableAdversary
-from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.baselines.base import AckFrame, Frame
 from repro.baselines.nonvolatile_bit import (
     NonvolatileBitReceiver,

@@ -8,8 +8,6 @@ obviousness rather than speed) over hypothesis-generated random traces.
 
 from __future__ import annotations
 
-from typing import List
-
 from hypothesis import given, settings, strategies as st
 
 from repro.checkers.safety import (
@@ -19,7 +17,7 @@ from repro.checkers.safety import (
     check_order,
 )
 from repro.checkers.trace import Trace
-from repro.core.events import CrashR, CrashT, Event, Ok, ReceiveMsg, SendMsg
+from repro.core.events import CrashR, CrashT, Ok, ReceiveMsg, SendMsg
 
 # Small message alphabet maximises collisions, which is where checker
 # state machines break.

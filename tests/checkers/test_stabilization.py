@@ -34,7 +34,6 @@ from repro.core.events import (
     PktDelivered,
     PktSent,
     ReceiveMsg,
-    SendMsg,
 )
 
 WINDOW = 3

@@ -7,7 +7,6 @@ import pytest
 from repro.checkers.trace import Trace
 from repro.core.events import (
     ChannelId,
-    CrashR,
     CrashT,
     Ok,
     PktDelivered,

@@ -11,12 +11,12 @@ violation would expose it.
 
 from __future__ import annotations
 
-from typing import Deque, List
+from typing import Deque
 from collections import deque
 
-from repro.core.bitstrings import BitString, TAU_CRASH
+from repro.core.bitstrings import BitString
 from repro.core.events import EmitOk, EmitPacket, EmitReceiveMsg
-from repro.core.packets import DataPacket, PollPacket
+from repro.core.packets import DataPacket
 from repro.core.params import ProtocolParams
 from repro.core.random_source import RandomSource
 from repro.core.receiver import Receiver

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bitstrings import TAU_CRASH, TAU_PRIME_CRASH, BitString
-from repro.core.events import EmitPacket, EmitReceiveMsg
+from repro.core.events import EmitReceiveMsg
 from repro.core.exceptions import ProtocolError
 from repro.core.packets import DataPacket, PollPacket
 from repro.core.params import ProtocolParams

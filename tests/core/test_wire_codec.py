@@ -32,7 +32,6 @@ from repro.core.packets import (
     encode_packet,
     encode_packet_into,
     lane_prefix,
-    packet_wire_bytes,
     peek_wire_info,
 )
 
@@ -305,7 +304,7 @@ def test_encode_into_matches_encode(m, rho, tau, retry, lane):
     for packet in (DataPacket(message=m, rho=rho, tau=tau),
                    PollPacket(rho=rho, tau=tau, retry=retry)):
         wire = encode_packet(packet)
-        nbytes = packet_wire_bytes(packet)
+        nbytes = packet.wire_length_bits // 8
         assert nbytes == len(wire)
         buf = bytearray(b"\xee" * (nbytes + 16))
         end = encode_packet_into(buf, 1, packet)

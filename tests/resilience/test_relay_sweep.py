@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.resilience.relay_sweep import (
-    RelaySweepConfig,
-    RelaySweepResult,
-    SweepCell,
-    run_relay_sweep,
-)
+from repro.resilience.relay_sweep import RelaySweepConfig, run_relay_sweep
 from repro.resilience.supervisor import CampaignConfig
 
 # Small grid, in-process campaign pool: fast enough for tier-1.

@@ -19,8 +19,6 @@ from tests.resilience.conftest import (
     REPRO_BASE_SEED,
     REPRO_RUN_INDEX,
     crash_then_replay_plan,
-    make_paper_spec,
-    make_strawman_spec,
 )
 
 

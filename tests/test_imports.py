@@ -1,4 +1,5 @@
-"""Every import in ``src/`` is used by the module that makes it.
+"""Every import in ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``
+is used by the module that makes it.
 
 No lint tool runs in CI, so this test is the check: it parses each module
 with :mod:`ast` and fails on a bound import name that no expression or
@@ -11,13 +12,16 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
 
-#: ``(module path under src/, name)`` pairs imported for another reader.
+ROOT = Path(__file__).resolve().parents[1]
+
+#: ``(module path under the repository root, name)`` pairs imported for
+#: another reader.
 ALLOWED = {
     # e2ebench's traced live_chaos workload wraps lanes.decode_packet by
     # name, so the binding must stay in that namespace.
-    ("repro/live/lanes.py", "decode_packet"),
+    ("src/repro/live/lanes.py", "decode_packet"),
 }
 
 
@@ -66,17 +70,29 @@ def unused_imports(path: Path):
     )
 
 
+def unused_under(directory: str):
+    """``path:line: name`` of every unused import below ``directory``."""
+    found = []
+    for path in sorted((ROOT / directory).rglob("*.py")):
+        module = path.relative_to(ROOT).as_posix()
+        found += [
+            f"{module}:{line}: {name}"
+            for line, name in unused_imports(path)
+            if (module, name) not in ALLOWED
+        ]
+    return found
+
+
 def test_src_modules_use_every_import():
-    found = [
-        f"{path.relative_to(SRC).as_posix()}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
-        for line, name in unused_imports(path)
-        if (path.relative_to(SRC).as_posix(), name) not in ALLOWED
-    ]
-    assert found == []
+    assert unused_under("src") == []
+
+
+@pytest.mark.parametrize("directory", ["tests", "benchmarks", "examples"])
+def test_tests_benchmarks_and_examples_use_every_import(directory):
+    assert unused_under(directory) == []
 
 
 def test_allow_list_names_imports_that_exist():
     # An allow-list entry whose import is gone (or now used) is stale.
     for module, name in ALLOWED:
-        assert name in {n for _, n in unused_imports(SRC / module)}
+        assert name in {n for _, n in unused_imports(ROOT / module)}

@@ -92,7 +92,7 @@ class TestPartitionRecovery:
 
 class TestLossAccounting:
     def _drive(self, net, packets=5, turns=30):
-        from repro.adversary.base import Deliver, Pass
+        from repro.adversary.base import Deliver
         from repro.channel.channel import PacketInfo
         from repro.core.events import ChannelId
         from repro.core.random_source import RandomSource
