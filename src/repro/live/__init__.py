@@ -19,8 +19,8 @@ Layout:
 * :mod:`repro.live.backoff` — jittered exponential poll backoff (the live
   pacing of the RM's RETRY obligation);
 * :mod:`repro.live.wire` — :class:`~repro.live.wire.BatchedDatagramIO`,
-  zero-copy drain/flush datagram I/O (recvmmsg/sendmmsg where libc has
-  them, a ``recv_into``/``sendto`` fallback elsewhere);
+  zero-copy drain/flush datagram I/O over a non-blocking UDP socket
+  (``recv_into`` into a receive ring, ``sendto`` per flushed datagram);
 * :mod:`repro.live.proxy` — :class:`ChaosProxy`, compiling the campaign
   fault-plan schema plus a stochastic :class:`LinkProfile` into wire
   faults while honouring Section 2.3 adversary visibility (identifiers

@@ -182,8 +182,7 @@ class LiveRunReport:
                 [
                     "wire batches (recv/send)",
                     f"{self.wire_stats.recv_batches}/"
-                    f"{self.wire_stats.send_batches}"
-                    + (" mmsg" if self.wire_stats.mmsg else ""),
+                    f"{self.wire_stats.send_batches}",
                 ],
                 [
                     "buffer pool",

@@ -1,25 +1,22 @@
 """Zero-copy batched datagram I/O for the live protocol stack.
 
 asyncio's stock datagram transport wakes the event loop once per datagram
-and allocates a fresh ``bytes`` per packet in each direction.  On loopback
-with zero synthetic latency the 8-lane handshake chain is self-clocking,
-so syscall count and allocation churn *are* the throughput ceiling.  This
-module is the live stack's one datagram layer, a drain/flush socket layer:
+and allocates a fresh ``bytes`` per packet in each direction.  This module
+is the live stack's one datagram layer, a drain/flush socket layer over a
+plain non-blocking UDP socket:
 
 * **Drain**: one reader-ready wakeup drains *every* queued datagram from
-  the non-blocking socket — via a ctypes ``recvmmsg`` fast path (one
-  syscall per chunk of up to :data:`BATCH`) where libc provides it, else a
-  ``recv_into`` loop — into preallocated receive buffers, and hands each
-  one to the callback as a ``memoryview`` slice.  **A delivered view is
-  only valid until the next drain chunk** (docs/PROTOCOL.md §15); anything
-  that must outlive the wakeup is copied by whoever holds it.
-* **Flush**: sends gather into a pending batch and leave in one
-  ``sendmmsg`` call per chunk (fallback: a ``sendto`` loop).  Inside a
-  drain, the batch is flushed after every chunk and *before* the receive
-  buffers are reused, so forwarded views are always consumed while still
-  valid.  Several IOs (the chaos proxy's two sides plus both stations)
-  share one *flush group* for exactly this reason: a datagram drained on
-  one socket may enqueue sends on another.
+  the socket, in chunks of up to :data:`BATCH` ``recv_into`` calls, into a
+  ring of preallocated receive buffers, and hands each one to the callback
+  as a ``memoryview`` slice.  **A delivered view is only valid until the
+  next drain chunk** (docs/PROTOCOL.md §15); anything that must outlive
+  the wakeup is copied by whoever holds it.
+* **Flush**: sends gather into a pending batch and leave in one ``sendto``
+  loop per flush.  Inside a drain, the batch is flushed after every chunk
+  and *before* the receive buffers are reused, so forwarded views are
+  always consumed while still valid.  Several IOs (the chaos proxy's two
+  sides plus both stations) share one *flush group* for exactly this
+  reason: a datagram drained on one socket may enqueue sends on another.
 * **Pooling**: outbound packets are encoded straight into reusable
   ``bytearray`` buffers from a :class:`BufferPool`; the pool's counters
   (``outstanding``/``allocated``/``high_water``) make buffer leaks — e.g.
@@ -29,17 +26,10 @@ If a flush cannot complete synchronously (``EAGAIN``: the send buffer is
 full), the leftover entries are *stabilized* — borrowed views copied into
 pool buffers — and a writer callback retries, so no pending send ever
 references a receive buffer across wakeups.
-
-Everything here degrades cleanly: no ``recvmmsg``/``sendmmsg`` in libc
-(non-Linux), ``REPRO_NO_MMSG=1`` in the environment, or ``use_mmsg=False``
-selects the plain non-blocking fallback with identical semantics.
 """
 
 from __future__ import annotations
 
-import ctypes
-import errno
-import os
 import socket
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -52,14 +42,13 @@ __all__ = [
     "BatchedDatagramIO",
     "link_flush_group",
     "merge_wire_stats",
-    "mmsg_available",
 ]
 
 Address = Tuple[str, int]
 
-#: Datagrams per recvmmsg/sendmmsg call.  Also the reuse granularity of the
-#: receive buffers: views handed out for one chunk die when the next chunk
-#: is drained.
+#: Receive buffers per socket, and so datagrams per drain chunk.  Also the
+#: reuse granularity of the receive buffers: views handed out for one
+#: chunk die when the next chunk is drained.
 BATCH = 32
 
 #: Receive buffer size per slot.  Protocol datagrams are tiny (a data
@@ -120,11 +109,10 @@ class WireStats:
 
     datagrams_received: int = 0
     datagrams_sent: int = 0
-    recv_batches: int = 0   # recvmmsg/recv-loop chunks that yielded data
-    send_batches: int = 0   # sendmmsg/sendto-loop flushes that sent data
+    recv_batches: int = 0   # drain chunks that yielded data
+    send_batches: int = 0   # flushes that sent data
     send_errors: int = 0    # datagrams dropped on a hard send error
     stabilized: int = 0     # borrowed views copied on a deferred flush
-    mmsg: bool = False      # True when the ctypes fast path is active
 
     def merge(self, other: "WireStats") -> None:
         self.datagrams_received += other.datagrams_received
@@ -133,100 +121,6 @@ class WireStats:
         self.send_batches += other.send_batches
         self.send_errors += other.send_errors
         self.stabilized += other.stabilized
-        self.mmsg = self.mmsg or other.mmsg
-
-
-# -- ctypes recvmmsg/sendmmsg ---------------------------------------------------
-#
-# Structures mirror <sys/socket.h> on Linux; ctypes applies native field
-# alignment, which matches the ABI (the 4-byte pad after msg_namelen falls
-# out of aligning the msg_iov pointer).
-
-class _IoVec(ctypes.Structure):
-    _fields_ = [("iov_base", ctypes.c_void_p),
-                ("iov_len", ctypes.c_size_t)]
-
-
-class _MsgHdr(ctypes.Structure):
-    _fields_ = [("msg_name", ctypes.c_void_p),
-                ("msg_namelen", ctypes.c_uint),
-                ("msg_iov", ctypes.POINTER(_IoVec)),
-                ("msg_iovlen", ctypes.c_size_t),
-                ("msg_control", ctypes.c_void_p),
-                ("msg_controllen", ctypes.c_size_t),
-                ("msg_flags", ctypes.c_int)]
-
-
-class _MMsgHdr(ctypes.Structure):
-    _fields_ = [("msg_hdr", _MsgHdr),
-                ("msg_len", ctypes.c_uint)]
-
-
-class _SockAddrIn(ctypes.Structure):
-    _fields_ = [("sin_family", ctypes.c_ushort),
-                ("sin_port", ctypes.c_ushort),   # network byte order
-                ("sin_addr", ctypes.c_ubyte * 4),
-                ("sin_zero", ctypes.c_ubyte * 8)]
-
-
-#: Zero-length window type for borrowing a buffer's base address without
-#: creating a per-size array type on every send (``(c_char * n)`` would
-#: allocate a new ctypes type for each distinct length).
-_C0 = ctypes.c_char * 0
-
-
-class _MMsgApi:
-    __slots__ = ("recvmmsg", "sendmmsg")
-
-    def __init__(self, recvmmsg, sendmmsg) -> None:
-        self.recvmmsg = recvmmsg
-        self.sendmmsg = sendmmsg
-
-
-_MMSG_API: Optional[_MMsgApi] = None
-_MMSG_PROBED = False
-
-
-def _load_mmsg() -> Optional[_MMsgApi]:
-    """Resolve recvmmsg/sendmmsg from libc once; None where unavailable."""
-    global _MMSG_API, _MMSG_PROBED
-    if _MMSG_PROBED:
-        return _MMSG_API
-    _MMSG_PROBED = True
-    if os.environ.get("REPRO_NO_MMSG"):
-        return None
-    try:
-        libc = ctypes.CDLL(None, use_errno=True)
-        recvmmsg = libc.recvmmsg
-        sendmmsg = libc.sendmmsg
-    except (OSError, AttributeError):
-        return None
-    recvmmsg.argtypes = [ctypes.c_int, ctypes.POINTER(_MMsgHdr),
-                         ctypes.c_uint, ctypes.c_int, ctypes.c_void_p]
-    recvmmsg.restype = ctypes.c_int
-    sendmmsg.argtypes = [ctypes.c_int, ctypes.POINTER(_MMsgHdr),
-                         ctypes.c_uint, ctypes.c_int]
-    sendmmsg.restype = ctypes.c_int
-    _MMSG_API = _MMsgApi(recvmmsg, sendmmsg)
-    return _MMSG_API
-
-
-def mmsg_available() -> bool:
-    """Whether the recvmmsg/sendmmsg fast path can be used on this host."""
-    return _load_mmsg() is not None
-
-
-def _pack_sockaddr(addr: Address) -> _SockAddrIn:
-    sa = _SockAddrIn()
-    sa.sin_family = socket.AF_INET
-    sa.sin_port = socket.htons(addr[1])
-    packed = socket.inet_aton(addr[0])
-    for i in range(4):
-        sa.sin_addr[i] = packed[i]
-    return sa
-
-
-_EAGAIN = {errno.EAGAIN, errno.EWOULDBLOCK}
 
 
 class _GroupState:
@@ -235,20 +129,12 @@ class _GroupState:
     ``draining`` counts group members currently inside their drain loop;
     sends enqueued while it is non-zero wait for the per-chunk group flush
     (one shared counter beats scanning the member list on every send).
-
-    ``base_cache`` maps ``id(buffer) -> (buffer, base address)`` for
-    buffers whose C base address is stable: pool send buffers and every
-    member's receive buffers.  It is shared group-wide because a datagram
-    drained on one socket is often forwarded out another (the proxy), and
-    the flush on the *destination* socket is what needs the address.
-    Values hold the buffer, so a cached id can never be recycled.
     """
 
-    __slots__ = ("draining", "base_cache")
+    __slots__ = ("draining",)
 
     def __init__(self) -> None:
         self.draining = 0
-        self.base_cache: "dict[int, Tuple[object, int]]" = {}
 
 
 class BatchedDatagramIO:
@@ -260,28 +146,19 @@ class BatchedDatagramIO:
 
     Sends (:meth:`send` for stable/borrowed data, :meth:`send_pooled` for
     pool buffers filled via ``encode_packet_into``) gather into a pending
-    list; :meth:`flush` pushes them out in ``sendmmsg`` chunks.  While any
-    member of the flush group is draining, sends wait for the per-chunk
-    group flush instead of leaving one-at-a-time.
+    list; :meth:`flush` pushes them out.  While any member of the flush
+    group is draining, sends wait for the per-chunk group flush instead of
+    leaving one-at-a-time.
     """
 
     def __init__(
         self,
         on_datagram: Callable[[memoryview], None],
         pool: Optional[BufferPool] = None,
-        batch: int = BATCH,
-        recv_size: int = RECV_SIZE,
-        use_mmsg: Optional[bool] = None,
     ) -> None:
         self.on_datagram = on_datagram
         self.pool = pool if pool is not None else BufferPool()
-        self.batch = batch
-        self.recv_size = recv_size
-        api = _load_mmsg() if use_mmsg in (None, True) else None
-        if use_mmsg is True and api is None:
-            raise OSError("recvmmsg/sendmmsg not available on this platform")
-        self._api = api
-        self.stats = WireStats(mmsg=api is not None)
+        self.stats = WireStats()
         self._sock: Optional[socket.socket] = None
         self._fd = -1
         self._loop = None
@@ -296,53 +173,9 @@ class BatchedDatagramIO:
         # pool bytearray (pooled=True), or a borrowed memoryview that
         # flush() consumes before the borrow expires.
         self._pending: List[Tuple[object, int, Address, bool]] = []
-        # addr -> (sockaddr struct, its address).  The struct keeps the
-        # memory alive; the cached integer is what sendmmsg headers want.
-        self._saddr_cache: "dict[Address, Tuple[_SockAddrIn, int]]" = {}
-        # Preallocated receive machinery (shared by both paths; the mmsg
-        # arrays additionally pin iovecs/headers to the buffers once).
-        self._rbufs = [bytearray(recv_size) for _ in range(batch)]
+        # The receive ring.
+        self._rbufs = [bytearray(RECV_SIZE) for _ in range(BATCH)]
         self._rviews = [memoryview(b) for b in self._rbufs]
-        if api is not None:
-            self._recvmmsg = api.recvmmsg
-            self._sendmmsg = api.sendmmsg
-            self._rcbufs = [(ctypes.c_char * recv_size).from_buffer(b)
-                            for b in self._rbufs]
-            # Drained views are always offset-0 slices of these buffers,
-            # so the flush path can reuse the base addresses pinned here.
-            for rbuf, ref in zip(self._rbufs, self._rcbufs):
-                self._gstate.base_cache[id(rbuf)] = (
-                    rbuf, ctypes.addressof(ref))
-            self._riovs = (_IoVec * batch)()
-            self._rhdrs = (_MMsgHdr * batch)()
-            for i in range(batch):
-                self._riovs[i].iov_base = ctypes.cast(
-                    self._rcbufs[i], ctypes.c_void_p)
-                self._riovs[i].iov_len = recv_size
-                hdr = self._rhdrs[i].msg_hdr
-                hdr.msg_name = None  # sender address unused: peers are fixed
-                hdr.msg_namelen = 0
-                hdr.msg_iov = ctypes.pointer(self._riovs[i])
-                hdr.msg_iovlen = 1
-            # Everything invariant in the send headers is written once
-            # here; per-flush work is reduced to three machine-word stores
-            # per datagram through the flat views below (ctypes attribute
-            # access costs ~10x a memoryview word store).
-            self._shdrs = (_MMsgHdr * batch)()
-            self._siovs = (_IoVec * batch)()
-            for i in range(batch):
-                hdr = self._shdrs[i].msg_hdr
-                hdr.msg_namelen = ctypes.sizeof(_SockAddrIn)
-                hdr.msg_iov = ctypes.pointer(self._siovs[i])
-                hdr.msg_iovlen = 1
-            self._siov_q = memoryview(self._siovs).cast("B").cast("Q")
-            self._shdr_q = memoryview(self._shdrs).cast("B").cast("Q")
-            self._shdr_stride = ctypes.sizeof(_MMsgHdr) // 8  # msg_name is word 0
-            mlen_off = _MMsgHdr.msg_len.offset
-            stride = ctypes.sizeof(_MMsgHdr)
-            self._rlens = memoryview(self._rhdrs).cast("B").cast("I")
-            self._rlen_idx = [(mlen_off + stride * i) // 4
-                              for i in range(batch)]
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -406,54 +239,31 @@ class BatchedDatagramIO:
                 # group member) BEFORE the buffers the forwarded views
                 # point into are overwritten by the next chunk.
                 self._flush_group()
-                if n < self.batch or self._closed:
+                if n < BATCH or self._closed:
                     break
         finally:
             gstate.draining -= 1
 
     def _recv_chunk(self) -> int:
-        if self._api is not None:
-            return self._recv_chunk_mmsg()
-        return self._recv_chunk_fallback()
+        """Fill up to :data:`BATCH` ring slots, then dispatch the datagrams.
 
-    def _recv_chunk_mmsg(self) -> int:
-        n = self._recvmmsg(self._fd, self._rhdrs, self.batch, 0, None)
-        if n < 0:
-            err = ctypes.get_errno()
-            if err in _EAGAIN or err == errno.EINTR:
-                return 0
-            if err == errno.ECONNREFUSED:
-                # Queued ICMP error from a peer that briefly had no
-                # listener; UDP semantics say keep going.
-                return 0
-            raise OSError(err, os.strerror(err))
-        if n == 0:
-            return 0
-        self.stats.recv_batches += 1
-        self.stats.datagrams_received += n
-        dispatch = self.on_datagram
-        views = self._rviews
-        lens = self._rlens
-        idx = self._rlen_idx
-        for i in range(n):
-            if self._closed:
-                break
-            dispatch(views[i][: lens[idx[i]]])
-        return n
-
-    def _recv_chunk_fallback(self) -> int:
+        Returns the number of slots the chunk used, so a full chunk means
+        more may be queued.
+        """
         assert self._sock is not None
         sock = self._sock
         bufs = self._rbufs
         views = self._rviews
         filled = []
-        for i in range(self.batch):
+        for i in range(BATCH):
             try:
-                nbytes = sock.recv_into(bufs[i], self.recv_size)
+                nbytes = sock.recv_into(bufs[i], RECV_SIZE)
             except (BlockingIOError, InterruptedError):
                 break
             except ConnectionRefusedError:
-                # Queued ICMP error; the slot holds nothing — reuse it.
+                # Queued ICMP error from a peer that briefly had no
+                # listener; UDP semantics say keep going.  The slot holds
+                # nothing — reuse it.
                 filled.append((i, -1))
                 continue
             filled.append((i, nbytes))
@@ -476,9 +286,6 @@ class BatchedDatagramIO:
 
         Inside a drain (of any group member) the per-chunk group flush
         batches this send with its siblings; outside one, it leaves now.
-        A forwarded receive view must be the exact slice handed to
-        ``on_datagram`` (it starts at offset 0 of its backing buffer; the
-        flush path relies on that when reusing cached base addresses).
         """
         if self._closed:
             return
@@ -507,121 +314,10 @@ class BatchedDatagramIO:
         buffers) — whatever could not leave synchronously has been copied
         into pool buffers and will be retried on socket writability.
         """
-        if not self._pending or self._sock is None:
-            return
-        if self._api is None or len(self._pending) == 1:
-            # A lone datagram (timer-driven poll outside a drain) leaves
-            # via plain sendto: one syscall either way, no marshalling.
-            self._flush_fallback()
-        else:
-            self._flush_mmsg()
-        if self._pending:
-            self._stabilize_pending()
-            self._arm_writer()
-
-    def _flush_mmsg(self) -> None:
-        fd = self._fd
-        pending = self._pending
-        batch = self.batch
-        siov_q = self._siov_q
-        shdr_q = self._shdr_q
-        hstride = self._shdr_stride
-        sendmmsg = self._sendmmsg
-        saddr_cache = self._saddr_cache
-        base_cache = self._gstate.base_cache
-        from_buffer = _C0.from_buffer
-        addressof = ctypes.addressof
-        while pending:
-            chunk = pending[:batch]
-            # `keepalive` pins the borrowed ctypes windows until the
-            # sendmmsg call returns.
-            keepalive = []
-            pin = keepalive.append
-            qi = 0
-            hi = 0
-            for obj, nbytes, addr, pooled in chunk:
-                if pooled:
-                    # Pool buffers cycle, are never resized, and stay alive
-                    # via the cache value — so their base address is stable
-                    # and computed exactly once per buffer.
-                    cached = base_cache.get(id(obj))
-                    if cached is None or cached[0] is not obj:
-                        ref = from_buffer(obj)
-                        cached = (obj, addressof(ref))
-                        del ref  # drop the export; address stays valid
-                        base_cache[id(obj)] = cached
-                    base = cached[1]
-                elif type(obj) is bytes:
-                    # Retransmitted frames (Axiom 2: identical re-sends)
-                    # make the same immutable bytes objects recur; their
-                    # buffer address is fixed for the object's lifetime,
-                    # so it too is computed once.  The insert is bounded
-                    # so one-shot payloads cannot grow the cache forever
-                    # (past the bound they just recompute each flush).
-                    cached = base_cache.get(id(obj))
-                    if cached is not None and cached[0] is obj:
-                        base = cached[1]
-                    else:
-                        # No keepalive pin needed: `chunk` holds obj past
-                        # the sendmmsg call, and a cache hit keeps it
-                        # alive via the cache value thereafter.
-                        base = ctypes.cast(
-                            ctypes.c_char_p(obj), ctypes.c_void_p).value
-                        if len(base_cache) < 4096:
-                            base_cache[id(obj)] = (obj, base)
-                else:
-                    # Writable memoryview — in practice a drained receive
-                    # slice being forwarded, which is always an offset-0
-                    # slice of a receive buffer registered group-wide.
-                    cached = base_cache.get(id(obj.obj))
-                    if cached is not None and cached[0] is obj.obj:
-                        base = cached[1]
-                    else:
-                        # Unknown backing buffer: borrow a zero-length
-                        # window; it still carries the base address.
-                        ref = from_buffer(obj)
-                        pin(ref)
-                        base = addressof(ref)
-                siov_q[qi] = base
-                siov_q[qi + 1] = nbytes
-                sa = saddr_cache.get(addr)
-                if sa is None:
-                    struct_ = _pack_sockaddr(addr)
-                    sa = (struct_, addressof(struct_))
-                    saddr_cache[addr] = sa
-                shdr_q[hi] = sa[1]
-                qi += 2
-                hi += hstride
-            sent = sendmmsg(fd, self._shdrs, len(chunk), 0)
-            del keepalive
-            if sent < 0:
-                err = ctypes.get_errno()
-                if err in _EAGAIN:
-                    return  # caller stabilizes + defers the rest
-                if err == errno.EINTR:
-                    continue
-                if err == errno.ECONNREFUSED:
-                    # A queued ICMP error consumed the call; nothing from
-                    # this chunk was sent.  Retry — the error is drained.
-                    self.stats.send_errors += 1
-                    continue
-                # Hard error: fall back to per-datagram sendto so one bad
-                # destination cannot wedge the whole batch.
-                self._flush_fallback()
-                return
-            self.stats.send_batches += 1
-            self.stats.datagrams_sent += sent
-            for obj, _n, _addr, pooled in chunk[:sent]:
-                if pooled:
-                    self.pool.release(obj)  # type: ignore[arg-type]
-            del pending[:sent]
-            if sent < len(chunk):
-                return  # kernel backpressure mid-chunk: defer the rest
-
-    def _flush_fallback(self) -> None:
-        assert self._sock is not None
         sock = self._sock
         pending = self._pending
+        if not pending or sock is None:
+            return
         sent_any = 0
         while pending:
             obj, nbytes, addr, pooled = pending[0]
@@ -640,6 +336,9 @@ class BatchedDatagramIO:
             del pending[0]
         if sent_any:
             self.stats.send_batches += 1
+        if pending:
+            self._stabilize_pending()
+            self._arm_writer()
 
     def _stabilize_pending(self) -> None:
         """Copy borrowed views into pool buffers (deferred-flush safety)."""
@@ -683,7 +382,6 @@ def link_flush_group(ios: List[BatchedDatagramIO]) -> None:
     state = _GroupState()
     for old in {id(io._gstate): io._gstate for io in merged}.values():
         state.draining += old.draining
-        state.base_cache.update(old.base_cache)
     for io in merged:
         io.group = merged
         io._gstate = state

@@ -98,6 +98,13 @@ class RunStatus(str, Enum):
 #: Statuses that were produced by the run itself and may be retried.
 _RETRYABLE = (RunStatus.TIMEOUT, RunStatus.CRASHED)
 
+#: Seconds slept before a retry; doubles per attempt up to the cap, jittered.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
+#: Whether campaign runs capture traces, which non-ok runs archive.
+CAPTURE_TRACES = True
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -227,10 +234,7 @@ class CampaignConfig:
     jobs: int = 1
     timeout: Optional[float] = None  # per-run wall-clock seconds
     retries: int = 0  # extra attempts after the first
-    backoff_base: float = 0.05  # seconds; doubles per attempt, jittered
-    backoff_cap: float = 2.0
     artifacts_dir: Optional[str] = None
-    capture_traces: bool = True  # archive traces of non-ok runs
     in_process: bool = False  # debugging: skip the pool entirely
 
     def __post_init__(self) -> None:
@@ -851,11 +855,10 @@ class CampaignResult:
 class _RunState:
     attempt: int = 0
     deaths: int = 0
-    last_failure: Optional[RunStatus] = None
 
 
-def _backoff_delay(config: CampaignConfig, attempt: int) -> float:
-    base = min(config.backoff_cap, config.backoff_base * (2 ** max(0, attempt - 1)))
+def _backoff_delay(attempt: int) -> float:
+    base = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** max(0, attempt - 1)))
     return base * (0.5 + random.random())  # jitter in [0.5x, 1.5x)
 
 
@@ -957,8 +960,7 @@ def _classify(
     """Record a worker result.  Returns True when the run should be retried."""
     if report.status in _RETRYABLE and state.attempt < config.retries:
         state.attempt += 1
-        state.last_failure = report.status
-        time.sleep(_backoff_delay(config, state.attempt))
+        time.sleep(_backoff_delay(state.attempt))
         return True
     final[index] = _finalize(report, state, config)
     return False
@@ -975,7 +977,6 @@ def _blame_death(
     state.deaths += 1
     if state.attempt < config.retries:
         state.attempt += 1
-        state.last_failure = RunStatus.CRASHED
     else:
         final[index] = _death_report(index, base_seed, state, config)
 
@@ -1061,7 +1062,7 @@ def _pool_round(
             _campaign_shard_worker,
             items,
             config.timeout,
-            config.capture_traces,
+            CAPTURE_TRACES,
             marker_dir,
         )
         futures[future] = shard
@@ -1179,7 +1180,7 @@ def _run_in_process(
                 index,
                 seed,
                 config.timeout,
-                config.capture_traces,
+                CAPTURE_TRACES,
                 session=session,
             )
             if not _classify(index, report, state, config, final):

@@ -24,12 +24,8 @@ The tentpole claims of the laned deployment are pinned here:
 from __future__ import annotations
 
 import asyncio
-import functools
-
-import pytest
 
 import repro.core.packets as packets
-import repro.live.endpoints as endpoints
 import repro.live.proxy as proxy_module
 from repro.checkers.live import LiveEventLog
 from repro.core.bitstrings import BitString
@@ -55,7 +51,7 @@ from repro.live import (
     LiveStatus,
     run_live_scenario,
 )
-from repro.live.wire import BatchedDatagramIO, mmsg_available
+from repro.live.wire import BatchedDatagramIO
 from repro.resilience.faultplan import (
     CorruptAt,
     CrashAt,
@@ -70,11 +66,6 @@ _SLOW_POLL = BackoffPolicy(base=10.0, factor=2.0, cap=20.0, jitter=0.0)
 
 #: A sink address for endpoints driven by hand (nothing listens there).
 _NOWHERE = ("127.0.0.1", 9)
-
-#: The host's fast wire and the portable fallback.
-_MODES = [pytest.param(False, id="fallback")]
-if mmsg_available():
-    _MODES.append(pytest.param(True, id="mmsg"))
 
 
 def _payloads(n: int) -> list:
@@ -436,24 +427,17 @@ def test_lane_crash_cancels_only_that_lanes_timers():
     asyncio.run(_run())
 
 
-@pytest.mark.parametrize("use_mmsg", _MODES)
-def test_a_due_poll_leaves_at_its_deadline(use_mmsg, monkeypatch):
+def test_a_due_poll_leaves_at_its_deadline():
     # Nothing answers the polls, so the lane's chain runs on its timer
     # alone: each poll must reach the wire no earlier than the deadline the
     # previous one set, and well before the one after.
     base = 0.05
     policy = BackoffPolicy(base=base, factor=1.0, cap=base, jitter=0.0)
-    monkeypatch.setattr(
-        endpoints, "BatchedDatagramIO",
-        functools.partial(BatchedDatagramIO, use_mmsg=use_mmsg),
-    )
 
     async def _run():
         loop = asyncio.get_running_loop()
         arrived = []
-        sink = BatchedDatagramIO(
-            lambda view: arrived.append(loop.time()), use_mmsg=use_mmsg
-        )
+        sink = BatchedDatagramIO(lambda view: arrived.append(loop.time()))
         await sink.open()
         log = _StampedLog()
         rm = LanedReceiverEndpoint(
@@ -468,15 +452,13 @@ def test_a_due_poll_leaves_at_its_deadline(use_mmsg, monkeypatch):
                 if len(arrived) >= 5:
                     break
             assert rm.pending_timer_count == 1
-            mmsg = rm.wire_ios[0].stats.mmsg
         finally:
             rm.close()
             sink.close()
         assert rm.pending_timer_count == 0
-        return log.polled_at, arrived, mmsg
+        return log.polled_at, arrived
 
-    polled_at, arrived, mmsg = asyncio.run(_run())
-    assert mmsg is (use_mmsg and mmsg_available())
+    polled_at, arrived = asyncio.run(_run())
     assert len(arrived) >= 5
     for sent, due_from, landed in zip(polled_at[1:], polled_at, arrived[1:]):
         assert sent >= due_from + base - 1e-3

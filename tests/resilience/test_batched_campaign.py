@@ -72,13 +72,11 @@ def test_mid_campaign_retry_keeps_other_shard_runs_intact():
     # make shards of two, so run 3 shares run 2's shard.
     spec = make_paper_spec()
     plan = FaultPlan.of(AbortAt(step=3, run=2))
-    config = CampaignConfig(jobs=2, retries=1,
-                            backoff_base=0.0, backoff_cap=0.0)
+    config = CampaignConfig(jobs=2, retries=1)
     assert config.resolve_chunk_size(16) == 2
     serial = run_campaign(
         spec, 16, base_seed=0, fault_plan=plan,
-        config=CampaignConfig(in_process=True, retries=1,
-                              backoff_base=0.0, backoff_cap=0.0),
+        config=CampaignConfig(in_process=True, retries=1),
     )
     sharded = run_campaign(spec, 16, base_seed=0, config=config, fault_plan=plan)
     assert sharded.fingerprint() == serial.fingerprint()

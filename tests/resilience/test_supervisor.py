@@ -88,7 +88,7 @@ def test_in_process_campaign_all_ok(paper_spec):
 
 def test_scripted_safety_failure_is_reported(strawman_spec):
     plan = crash_then_replay_plan(run=REPRO_RUN_INDEX)
-    config = CampaignConfig(in_process=True, capture_traces=False)
+    config = CampaignConfig(in_process=True)
     result = run_campaign(
         strawman_spec, REPRO_RUN_INDEX + 1, base_seed=REPRO_BASE_SEED,
         config=config, fault_plan=plan,
@@ -102,9 +102,7 @@ def test_scripted_safety_failure_is_reported(strawman_spec):
 
 def test_retries_exhausted_converts_status(paper_spec):
     plan = FaultPlan.of(AbortAt(step=3, run=0))
-    config = CampaignConfig(
-        in_process=True, retries=2, backoff_base=0.0, backoff_cap=0.0
-    )
+    config = CampaignConfig(in_process=True, retries=2)
     result = run_campaign(paper_spec, 2, base_seed=0, config=config, fault_plan=plan)
     failed, healthy = result.reports
     assert failed.status is RunStatus.EXHAUSTED_RETRIES
@@ -123,9 +121,7 @@ def test_no_retries_keeps_raw_status(paper_spec):
 
 def test_retry_attempts_use_fresh_seeds(paper_spec):
     plan = FaultPlan.of(AbortAt(step=3, run=0))
-    config = CampaignConfig(
-        in_process=True, retries=1, backoff_base=0.0, backoff_cap=0.0
-    )
+    config = CampaignConfig(in_process=True, retries=1)
     result = run_campaign(paper_spec, 1, base_seed=5, config=config, fault_plan=plan)
     report = result.reports[0]
     # The terminal attempt carried attempt index 1, not 0.
@@ -173,7 +169,7 @@ def test_monte_carlo_parallel_returns_campaign_aggregates(paper_spec):
 
 def test_render_lists_every_status_and_label(strawman_spec):
     plan = FaultPlan.of(AbortAt(step=3, run=0))
-    config = CampaignConfig(in_process=True, capture_traces=False)
+    config = CampaignConfig(in_process=True)
     result = run_campaign(strawman_spec, 2, base_seed=0, config=config, fault_plan=plan)
     text = result.render()
     for status in RunStatus:

@@ -95,7 +95,7 @@ def test_in_process_campaign_times_out_off_main_thread():
     # classified TIMEOUT, not hang the whole campaign.
     spec = make_paper_spec(messages=4)
     plan = FaultPlan.of(HangAt(step=3, run=0))
-    config = CampaignConfig(in_process=True, timeout=1.0, capture_traces=False)
+    config = CampaignConfig(in_process=True, timeout=1.0)
 
     def _campaign():
         return run_campaign(spec, 2, base_seed=0, config=config, fault_plan=plan)

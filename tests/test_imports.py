@@ -1,10 +1,13 @@
 """Every import in ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``
-is used by the module that makes it.
+is used by the module that makes it, and no ``src/`` module reads the
+environment.
 
 No lint tool runs in CI, so this test is the check: it parses each module
 with :mod:`ast` and fails on a bound import name that no expression or
 annotation (quoted ones included) of the module reads and that its
-``__all__`` does not export.
+``__all__`` does not export, and on any ``os.environ`` or ``os.getenv``
+in ``src/``: an environment variable the library reads is a switch that
+no signature or option shows.
 """
 
 from __future__ import annotations
@@ -23,6 +26,12 @@ ALLOWED = {
     # name, so the binding must stay in that namespace.
     ("src/repro/live/lanes.py", "decode_packet"),
 }
+
+#: Modules under ``src/`` allowed to read the environment.
+ENV_READERS: set = set()
+
+#: ``os`` attributes that read the environment.
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
 def quoted_annotation_names(tree: ast.AST):
@@ -83,6 +92,24 @@ def unused_under(directory: str):
     return found
 
 
+def environment_reads(path: Path):
+    """Lines of ``path`` that read ``os.environ`` or call ``os.getenv``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _ENV_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in _ENV_NAMES for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
 def test_src_modules_use_every_import():
     assert unused_under("src") == []
 
@@ -96,3 +123,29 @@ def test_allow_list_names_imports_that_exist():
     # An allow-list entry whose import is gone (or now used) is stale.
     for module, name in ALLOWED:
         assert name in {n for _, n in unused_imports(ROOT / module)}
+
+
+def test_src_modules_read_no_environment():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = path.relative_to(ROOT).as_posix()
+        if module not in ENV_READERS:
+            found += [f"{module}:{line}" for line in environment_reads(path)]
+    assert found == []
+
+
+def test_environment_reads_finds_every_form(tmp_path):
+    # The check above has nothing to find in src/, so pin that it sees
+    # each way a module reads the environment, and nothing else.
+    module = tmp_path / "reader.py"
+    module.write_text(
+        "import os\n"
+        "from os import getenv, path\n"
+        "home = os.environ['HOME']\n"
+        "user = os.environ.get('USER')\n"
+        "shell = os.getenv('SHELL')\n"
+        "joined = os.path.join(home, user)\n"
+        "environ = {}\n",
+        encoding="utf-8",
+    )
+    assert environment_reads(module) == [2, 3, 4, 5]
