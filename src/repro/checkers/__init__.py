@@ -56,7 +56,7 @@ from repro.checkers.streaming import (
     StreamingChecks,
     StreamMonitor,
 )
-from repro.checkers.trace import EventsView, MessageOutcome, Trace
+from repro.checkers.trace import Trace
 
 __all__ = [
     "Axiom1Monitor",
@@ -67,11 +67,9 @@ __all__ = [
     "ConvergenceRecord",
     "EndToEndMonitor",
     "EndToEndNoReplayMonitor",
-    "EventsView",
     "LiveEventLog",
     "LivenessMonitor",
     "LivenessStats",
-    "MessageOutcome",
     "NoDuplicationMonitor",
     "NoReplayMonitor",
     "OrderMonitor",

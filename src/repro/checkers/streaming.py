@@ -722,57 +722,12 @@ class StreamingChecks:
         return self.stabilization.summary()
 
 
-def _noop_handler(index: int, event: Event) -> None:
-    """Cached in single-monitor tables for event classes nobody observes."""
-
-
-def _resolve_subclass_single(
-    table: Dict[Type[Event], Handler], event_class: type
-) -> Handler:
-    """Single-monitor twin of :func:`_resolve_subclass`.
-
-    Resolves an unregistered event class to one callable — the matching
-    handler, a no-op when nothing matches, or a closure fanning out in
-    the (rare) case a subclass matches several registered bases — and
-    caches it so dispatch stays one lookup plus one call.
-    """
-    resolved = [
-        registered_handler
-        for registered, registered_handler in list(table.items())
-        if issubclass(event_class, registered)
-    ]
-    if not resolved:
-        handler: Handler = _noop_handler
-    elif len(resolved) == 1:
-        handler = resolved[0]
-    else:
-        fan_out = tuple(resolved)
-
-        def handler(index: int, event: Event) -> None:
-            for each in fan_out:
-                each(index, event)
-
-    table[event_class] = handler
-    return handler
-
-
 def feed(events: Iterable[Event], *monitors: StreamMonitor) -> None:
     """Drive monitors over a recorded event sequence (the batch driver).
 
     This is how the batch checkers evaluate a finished trace: same state
     machines, same dispatch, just fed from a sequence instead of live.
     """
-    if len(monitors) == 1:
-        # Every batch checker feeds exactly one monitor, so the hot loop
-        # dispatches straight to the bound handler: no per-event iterator
-        # over a one-element handler tuple.
-        single: Dict[Type[Event], Handler] = dict(monitors[0].handlers())
-        for index, event in enumerate(events):
-            handler = single.get(type(event))
-            if handler is None:
-                handler = _resolve_subclass_single(single, type(event))
-            handler(index, event)
-        return
     table = _build_table(monitors)
     for index, event in enumerate(events):
         handlers = table.get(type(event))

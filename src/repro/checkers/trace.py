@@ -5,15 +5,14 @@ ordered sequence of external actions, as defined in Section 2 via the I/O
 automata model.  The checkers evaluate the Section 2.6 correctness
 conditions on traces, and the metrics pipeline summarises them, so the
 trace API provides exactly the projections those consumers need (message
-events, crash boundaries, per-message segments).
+events and per-type counts).
 
 The trace is also the simulator's hottest data structure, so recording is
 engineered accordingly:
 
 * ``append`` maintains **per-type counters and index lists** online, so
   ``count``/``indexes_of``/``of_type`` answer from the indexes instead of
-  rescanning the event list, and ``message_outcomes`` is a memoized single
-  pass (invalidated by the next append);
+  rescanning the event list;
 * a **retention mode** (``retain="full" | "tail" | "none"``) bounds what
   the trace keeps: ``"full"`` stores every event (the default, and what the
   batch checkers need), ``"tail"`` keeps only a fixed-size forensic ring
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     Callable,
     Deque,
@@ -62,7 +60,7 @@ from repro.core.events import (
 )
 from repro.core.exceptions import ConfigurationError, TraceRetentionError
 
-__all__ = ["Trace", "MessageOutcome", "EventsView", "RETENTION_MODES"]
+__all__ = ["Trace", "RETENTION_MODES"]
 
 E = TypeVar("E", bound=Event)
 
@@ -70,62 +68,6 @@ Observer = Callable[[int, Event], None]
 
 #: The valid ``retain=`` arguments, in decreasing order of memory appetite.
 RETENTION_MODES = ("full", "tail", "none")
-
-
-@dataclass(frozen=True)
-class MessageOutcome:
-    """What ultimately happened to one ``send_msg`` (for metrics & checks).
-
-    ``resolution`` is one of ``"ok"`` (an OK followed), ``"crash"``
-    (a crash^T intervened before any OK), or ``"pending"`` (the execution
-    ended mid-handshake).
-    """
-
-    message: bytes
-    send_index: int
-    resolution: str
-    resolution_index: Optional[int]
-    delivered_before_resolution: bool
-
-
-class EventsView(Sequence):
-    """Read-only sequence view over a trace's retained events.
-
-    Supports everything a caller legitimately did with the old raw list —
-    ``len``, indexing/slicing, iteration, ``==`` against lists/tuples —
-    but no mutation, so the trace's online counters can never be
-    desynchronised from the event storage.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, events: Sequence[Event]) -> None:
-        self._events = events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._events[index])
-        return self._events[index]
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventsView):
-            return list(self._events) == list(other._events)
-        if isinstance(other, (list, tuple)):
-            return len(self._events) == len(other) and all(
-                mine == theirs for mine, theirs in zip(self._events, other)
-            )
-        return NotImplemented
-
-    __hash__ = None  # view over mutable storage
-
-    def __repr__(self) -> str:
-        return f"EventsView({list(self._events)!r})"
 
 
 class Trace:
@@ -155,16 +97,14 @@ class Trace:
         self._counts: Dict[type, int] = {}
         self._indexes: Dict[type, List[int]] = {}
         # Caches: query type -> matching concrete types (cleared when a new
-        # concrete type first appears), concrete type -> observer tuple
-        # (cleared on subscribe), and the memoized message_outcomes result
-        # (cleared on every append).
+        # concrete type first appears) and concrete type -> observer tuple
+        # (cleared on subscribe).
         self._query_cache: Dict[type, Tuple[type, ...]] = {}
         self._observers: List[Tuple[Observer, Optional[Tuple[Type[Event], ...]]]] = []
         self._observer_cache: Dict[type, Tuple[Observer, ...]] = {}
-        self._outcomes_cache: Optional[Tuple[MessageOutcome, ...]] = None
         if retain == "none":
-            # Counters-only recording has no storage branches and nothing to
-            # invalidate; shadow append with the lean path.
+            # Counters-only recording has no storage branches; shadow append
+            # with the lean path.
             self.append = self._append_none  # type: ignore[method-assign]
         if events:
             for event in events:
@@ -198,7 +138,6 @@ class Trace:
                 self._dropped = index + 1 - len(self._tail)
         else:
             self._dropped = index + 1
-        self._outcomes_cache = None
         observers = self._observer_cache.get(cls)
         if observers is None:
             observers = self._resolve_observers(cls)
@@ -244,7 +183,6 @@ class Trace:
         # count()/indexes_of() answer from _counts keys; stale cached type
         # lists would index into cleared dicts.
         self._query_cache.clear()
-        self._outcomes_cache = None
 
     def tally(self, event_type: Type[Event], count: int = 1) -> None:
         """Count ``count`` occurrences of ``event_type`` without storing them.
@@ -269,7 +207,6 @@ class Trace:
             self._query_cache.clear()
         self._total += count
         self._dropped += count
-        self._outcomes_cache = None
 
     # -- observers -------------------------------------------------------------
 
@@ -361,12 +298,6 @@ class Trace:
         self._require_full("iteration")
         return iter(self._events)
 
-    @property
-    def events(self) -> "EventsView":
-        """The raw event sequence, as an immutable view."""
-        self._require_full("the events view")
-        return EventsView(self._events)
-
     def _matching_types(self, event_type: Type[Event]) -> Tuple[type, ...]:
         matching = self._query_cache.get(event_type)
         if matching is None:
@@ -413,57 +344,6 @@ class Trace:
     def crash_count(self) -> int:
         """Total crashes of either station."""
         return self.count(CrashT) + self.count(CrashR)
-
-    def message_outcomes(self) -> List[MessageOutcome]:
-        """Resolve every send_msg to ok / crash / pending.
-
-        Axiom 1 guarantees at most one message is in flight, so one forward
-        pass with a single open slot suffices.  The result is memoized and
-        invalidated by the next append, so repeated consumers (metrics,
-        checkers, reports) pay for the pass once.
-        """
-        self._require_full("message_outcomes")
-        cached = self._outcomes_cache
-        if cached is not None:
-            return list(cached)
-        outcomes: List[MessageOutcome] = []
-        open_message: Optional[bytes] = None
-        open_index = 0
-        open_delivered = False
-
-        def close(resolution: str, resolution_index: Optional[int]) -> None:
-            outcomes.append(
-                MessageOutcome(
-                    message=open_message,  # type: ignore[arg-type]
-                    send_index=open_index,
-                    resolution=resolution,
-                    resolution_index=resolution_index,
-                    delivered_before_resolution=open_delivered,
-                )
-            )
-
-        for index, event in enumerate(self._events):
-            if isinstance(event, SendMsg):
-                if open_message is not None:
-                    close("pending", None)  # Axiom 1 forbids this; be defensive
-                open_message = event.message
-                open_index = index
-                open_delivered = False
-            elif open_message is None:
-                continue
-            elif isinstance(event, ReceiveMsg):
-                if event.message == open_message:
-                    open_delivered = True
-            elif isinstance(event, Ok):
-                close("ok", index)
-                open_message = None
-            elif isinstance(event, CrashT):
-                close("crash", index)
-                open_message = None
-        if open_message is not None:
-            close("pending", None)
-        self._outcomes_cache = tuple(outcomes)
-        return outcomes
 
     def packets_sent(self) -> int:
         """Total send_pkt actions on both channels."""

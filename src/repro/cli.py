@@ -252,11 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "probation window")
     live.add_argument("--restart-delay", type=float, default=0.02,
                       help="how long a crashed station stays down")
-    live.add_argument("--loop", choices=("asyncio", "uvloop", "auto"),
+    live.add_argument("--loop", choices=("asyncio", "uvloop"),
                       default="asyncio",
                       help="event loop backend; uvloop falls back to "
-                           "asyncio when not installed (auto: use uvloop "
-                           "if available)")
+                           "asyncio when not installed")
     live.add_argument("--label", default="", help="row label for the report")
 
     bench = sub.add_parser(
@@ -278,9 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                             '(the CI kernel-differential job); "relay" runs '
                             "just the relay fabric legs (hop efficiency, "
                             "kernel engine, striping)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run under cProfile; dump pstats next to --out "
-                            "and print the top-25 cumulative table")
 
     return parser
 
@@ -465,7 +461,12 @@ def _campaign_link_factory(protocol: str, epsilon_bits: int):
     return _parse_protocol(protocol)
 
 
-def _campaign_spec(args: argparse.Namespace, messages: int) -> RunSpec:
+def _campaign_spec(args: argparse.Namespace, messages: int, plan) -> RunSpec:
+    """Build the single-link spec for ``campaign`` / ``shrink``.
+
+    Stabilization is on for a corrupting adversary and for a ``plan``
+    that scrambles a station.
+    """
     link_factory = _campaign_link_factory(args.protocol, args.epsilon_bits)
     rates = (
         getattr(args, "loss", 0.0),
@@ -499,7 +500,8 @@ def _campaign_spec(args: argparse.Namespace, messages: int) -> RunSpec:
         label=getattr(args, "label", "") or args.protocol,
         retain=getattr(args, "retain", "full"),
         tail_size=getattr(args, "tail_size", 256),
-        stabilization=bool(corrupt_rate),
+        stabilization=bool(corrupt_rate)
+        or (plan is not None and plan.wants_stabilization),
         stabilization_window=getattr(args, "corrupt_window", 8),
         engine=args.engine,
     )
@@ -514,15 +516,6 @@ def _load_fault_plan(path: str):
         raise SystemExit(f"cannot read fault plan {path!r}: {error.strerror}")
     except ValueError as error:
         raise SystemExit(f"invalid fault plan {path!r}: {error}")
-
-
-def _plan_wants_stabilization(plan) -> bool:
-    """True when a loaded plan injects in-place (scramble) corruption."""
-    from repro.resilience.faultplan import CorruptAt
-
-    return plan is not None and any(
-        isinstance(e, CorruptAt) and e.mode == "scramble" for e in plan.events
-    )
 
 
 def _parse_corrupt_triggers(spec: str, base_seed: int):
@@ -601,13 +594,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except ConfigurationError as error:
             raise SystemExit(str(error))
     else:
-        spec = _campaign_spec(args, args.messages)
-        if _plan_wants_stabilization(plan) and not spec.stabilization:
-            from dataclasses import replace
-
-            spec = replace(
-                spec, stabilization=True, stabilization_window=args.corrupt_window
-            )
+        spec = _campaign_spec(args, args.messages, plan)
     result = run_campaign(
         spec, args.runs, base_seed=args.base_seed, config=config, fault_plan=plan
     )
@@ -620,21 +607,11 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
     from repro.resilience.shrink import shrink_repro
 
     plan = _load_fault_plan(args.fault_plan)
-    needs_stabilization = _plan_wants_stabilization(plan)
 
     def spec_builder(messages: int):
         if args.topology:
             return _fabric_spec(args, messages)
-        spec = _campaign_spec(args, messages)
-        if needs_stabilization and not spec.stabilization:
-            from dataclasses import replace
-
-            spec = replace(
-                spec,
-                stabilization=True,
-                stabilization_window=args.corrupt_window,
-            )
-        return spec
+        return _campaign_spec(args, messages, plan)
 
     try:
         result = shrink_repro(
@@ -711,27 +688,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _profiled_call(fn, out_path):
-    """Run ``fn()`` under cProfile; dump pstats and print the hot table."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-    profiler.dump_stats(out_path)
-    buffer = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(25)
-    print(f"profile written to {out_path}")
-    print(buffer.getvalue())
-    return result
-
-
 def _render_kernel_table(kernel: dict) -> str:
     return render_table(
         ["workload", "object steps/sec", "kernel steps/sec", "speedup (median)"],
@@ -749,20 +705,7 @@ def _render_kernel_table(kernel: dict) -> str:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import os
 
-    runner = lambda: run_bench(
-        quick=args.quick, base_seed=args.base_seed, only=args.only
-    )
-    if args.profile:
-        profile_path = (
-            os.path.join(
-                os.path.dirname(os.path.abspath(args.out)), "bench.pstats"
-            )
-            if args.out
-            else "bench.pstats"
-        )
-        payload = _profiled_call(runner, profile_path)
-    else:
-        payload = runner()
+    payload = run_bench(quick=args.quick, base_seed=args.base_seed, only=args.only)
     results = payload["results"]
     if "live" in results:
         live = results["live"]

@@ -55,7 +55,7 @@ class AxiomViolationError(ReproError):
 class TraceRetentionError(ReproError):
     """A query needed events a trace's retention mode discarded.
 
-    Raised when e.g. ``of_type`` or ``message_outcomes`` is called on a
+    Raised when e.g. ``of_type`` or ``indexes_of`` is called on a
     trace recorded with ``retain="tail"`` or ``retain="none"`` — the
     counters still answer ``count``-style queries, but the events
     themselves are gone by design.  Re-run with ``retain="full"`` (or use

@@ -21,7 +21,7 @@ timers instead.  This module holds what both endpoints share:
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.exceptions import CodecError
 from repro.core.packets import decode_packet, encode_packet_into
@@ -164,6 +164,24 @@ class _SocketBase(AuditedTimers):
             self.malformed += 1
             return
         self._handle_lane_packet(lane, packet)
+
+    # Host-wide faults, over the subclass's crash_lane / corrupt_lane.
+    def crash(self, lane: Optional[int] = None) -> None:
+        """Crash one lane, or the whole host (every lane) if none given."""
+        if lane is not None:
+            self.crash_lane(lane)
+        else:
+            for i in range(self.lane_count):
+                self.crash_lane(i)
+
+    def corrupt(self, seed: int, lane: Optional[int] = None,
+                fields: Optional[Sequence[str]] = None) -> None:
+        """Corrupt one lane, or every lane (seeds split per lane) if none given."""
+        if lane is not None:
+            self.corrupt_lane(lane, seed, fields)
+        else:
+            for i in range(self.lane_count):
+                self.corrupt_lane(i, seed + i, fields)
 
     # subclass hooks
     _expected_packet: type = object

@@ -350,14 +350,6 @@ class LanedTransmitterEndpoint(_SocketBase):
             self.restart_delay, lambda: self._restart_lane(lane)
         )
 
-    def crash(self, lane: Optional[int] = None) -> None:
-        """Crash one lane, or the whole host (every lane) if none given."""
-        if lane is not None:
-            self.crash_lane(lane)
-        else:
-            for i in range(self.lane_count):
-                self.crash_lane(i)
-
     def corrupt_lane(self, lane_id: int, seed: int,
                      fields: Optional[Sequence[str]] = None) -> "tuple":
         """Scramble one TM lane's state in place; the lane keeps running."""
@@ -372,15 +364,6 @@ class LanedTransmitterEndpoint(_SocketBase):
         else:
             self._maybe_send_next(lane)
         return scrambled
-
-    def corrupt(self, seed: int, lane: Optional[int] = None,
-                fields: Optional[Sequence[str]] = None) -> None:
-        """Corrupt one lane, or every lane (seeds split per lane) if none given."""
-        if lane is not None:
-            self.corrupt_lane(lane, seed, fields)
-        else:
-            for i in range(self.lane_count):
-                self.corrupt_lane(i, seed + i, fields)
 
     def _resubmit(self, lane: _TmLane) -> None:
         """Return ``lane``'s slot to the queue head and offer it to idle lanes."""
@@ -608,14 +591,6 @@ class LanedReceiverEndpoint(_SocketBase):
             self.restart_delay, lambda: self._restart_lane(lane)
         )
 
-    def crash(self, lane: Optional[int] = None) -> None:
-        """Crash one lane, or the whole host (every lane) if none given."""
-        if lane is not None:
-            self.crash_lane(lane)
-        else:
-            for i in range(self.lane_count):
-                self.crash_lane(i)
-
     def corrupt_lane(self, lane_id: int, seed: int,
                      fields: Optional[Sequence[str]] = None) -> "tuple":
         """Scramble one RM lane's state in place; its poll chain keeps running."""
@@ -626,15 +601,6 @@ class LanedReceiverEndpoint(_SocketBase):
         lane.corruptions += 1
         lane.log.record(Corruption(station="R", fields=scrambled, seed=seed))
         return scrambled
-
-    def corrupt(self, seed: int, lane: Optional[int] = None,
-                fields: Optional[Sequence[str]] = None) -> None:
-        """Corrupt one lane, or every lane (seeds split per lane) if none given."""
-        if lane is not None:
-            self.corrupt_lane(lane, seed, fields)
-        else:
-            for i in range(self.lane_count):
-                self.corrupt_lane(i, seed + i, fields)
 
     def _restart_lane(self, lane: _RmLane) -> None:
         lane.restart_handle = None

@@ -3,12 +3,14 @@
 The simulator's adversary decides the fate of every packet from inside the
 discrete-event loop; on a live link the same role is played by an in-path
 UDP relay.  :class:`ChaosProxy` binds one socket facing each station and
-forwards datagrams between them, compiling two fault sources into wire
+forwards datagrams between them, turning two fault sources into wire
 behaviour:
 
 * the **scripted** :class:`~repro.resilience.faultplan.FaultPlan` schema —
-  the exact JSON plans campaigns archive and shrink — where turn numbers
-  become 1-based counts of datagrams the proxy has observed:
+  the exact JSON plans campaigns archive and shrink, read through the
+  same :class:`~repro.resilience.faultplan.FaultSchedule` as the
+  simulator's — where turn numbers become 1-based counts of datagrams
+  the proxy has observed; every control event of a turn fires on it:
 
   - ``drop``  → the datagram is not forwarded (with ``channel: null``
     covering both directions, i.e. a full **partition**);
@@ -22,8 +24,8 @@ behaviour:
     just the lane the trigger datagram belonged to;
   - ``corrupt`` → the proxy tells the scenario to scramble the named
     station's volatile state *in place* (seed-pinned, no dead window);
-    ``mode: "wipe"`` rides the crash trigger instead — the live half of
-    the wipe ≡ crash identity;
+    ``mode: "wipe"`` is filed as a crash and fires the crash trigger —
+    the live half of the wipe ≡ crash identity;
   - ``hang``  → the link goes silent for ``seconds`` of wall clock
     (``null`` = until the scenario's give-up deadline fires);
   - ``abort`` → the scenario is torn down (harness-failure drill).
@@ -57,16 +59,7 @@ from repro.core.packets import peek_wire_info
 from repro.core.random_source import RandomSource
 from repro.live.endpoints import AuditedTimers
 from repro.live.wire import BatchedDatagramIO, BufferPool, link_flush_group
-from repro.resilience.faultplan import (
-    AbortAt,
-    CorruptAt,
-    CrashAt,
-    DropWindow,
-    DuplicateBurst,
-    FaultPlan,
-    HangAt,
-    StallWindow,
-)
+from repro.resilience.faultplan import CorruptAt, FaultPlan, FaultSchedule
 
 __all__ = ["LinkProfile", "ChaosProxy"]
 
@@ -159,49 +152,11 @@ class ChaosProxy(AuditedTimers):
         self._last_forwarded: Optional[Tuple[ChannelId, bytes]] = None
         self._paused_until: Optional[float] = None  # None=open; inf=forever
         self._held: List[Tuple[ChannelId, bytes]] = []  # stalled/hung traffic
-        # Scripted events indexed by turn (windows kept as lists).
-        self._crashes: Dict[int, List[str]] = {}
-        self._corrupts: Dict[int, List[CorruptAt]] = {}
-        self._dups: Dict[int, List[DuplicateBurst]] = {}
-        self._hangs: Dict[int, Optional[float]] = {}
-        self._aborts: Dict[int, bool] = {}
-        self._drops: List[DropWindow] = []
-        self._stalls: List[StallWindow] = []
-        first = last = None
-        for event in self.plan.events:
-            if isinstance(event, CrashAt):
-                self._crashes.setdefault(event.step, []).append(event.station)
-            elif isinstance(event, CorruptAt):
-                # Wipe-mode corruption IS a crash (same blank state, same
-                # dead window), so it rides the crash trigger verbatim —
-                # the live half of the wipe ≡ crash identity.
-                if event.mode == "wipe":
-                    self._crashes.setdefault(event.step, []).append(event.station)
-                else:
-                    self._corrupts.setdefault(event.step, []).append(event)
-            elif isinstance(event, DuplicateBurst):
-                self._dups.setdefault(event.step, []).append(event)
-            elif isinstance(event, HangAt):
-                self._hangs[event.step] = event.seconds
-            elif isinstance(event, AbortAt):
-                self._aborts[event.step] = True
-            elif isinstance(event, DropWindow):
-                self._drops.append(event)
-            elif isinstance(event, StallWindow):
-                self._stalls.append(event)
-            else:
-                continue  # a topology event: nothing here acts on it
-            # Every event filed above widens the plan's turn span.
-            if isinstance(event, (DropWindow, StallWindow)):
-                lo, hi = event.start, event.end
-            else:
-                lo = hi = event.step
-            first = lo if first is None else min(first, lo)
-            last = hi if last is None else max(last, hi)
-        # The turn span, [first, last]; empty when no event was filed.
-        self._first_turn, self._last_turn = (
-            (1, 0) if first is None else (first, last)
-        )
+        # The plan filed by kind; control events and bursts are popped as
+        # they fire.  The fast path reads the station events' turn span.
+        self._schedule = FaultSchedule(self.plan.events)
+        self._first_turn = self._schedule.first_turn
+        self._last_turn = self._schedule.last_turn
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -291,10 +246,10 @@ class ChaosProxy(AuditedTimers):
         if scripted:
             self._maybe_release_held(turn)
             self._fire_control_events(turn, info.lane)
-            if self._scripted_drop(turn, channel):
+            if self._schedule.dropped(turn, channel):
                 self.stats.dropped += 1
                 return
-            if self._in_stall(turn) or self._is_paused():
+            if self._schedule.stalled(turn) or self._is_paused():
                 self.stats.stalled += 1
                 # Held datagrams outlive the drain chunk: copy a borrowed view.
                 self._held.append(
@@ -329,23 +284,23 @@ class ChaosProxy(AuditedTimers):
             self._fire_duplicate_bursts(turn)
 
     def _fire_control_events(self, turn: int, lane: Optional[int] = None) -> None:
-        if turn in self._aborts:
-            del self._aborts[turn]
+        schedule = self._schedule
+        if schedule.aborts.pop(turn, None):
             if self._on_abort is not None:
                 self._on_abort(turn)
             return
-        stations = self._crashes.pop(turn, None)
+        stations = schedule.crashes.pop(turn, None)
         if stations and self._on_crash is not None:
             for station in stations:
                 self._on_crash(station, turn, lane)
-        corrupts = self._corrupts.pop(turn, None)
-        if corrupts and self._on_corrupt is not None:
-            for event in corrupts:
+        scrambles = schedule.scrambles.pop(turn, None)
+        if scrambles and self._on_corrupt is not None:
+            for event in scrambles:
                 self._on_corrupt(event, turn, lane)
-        seconds = -1.0
-        if turn in self._hangs:
-            seconds = self._hangs.pop(turn)  # type: ignore[assignment]
-        if seconds != -1.0:
+        hangs = schedule.hangs.pop(turn, None)
+        if hangs:
+            # One pause per turn: the turn's last hang sets it.
+            seconds = hangs[-1].seconds
             if seconds is None:
                 self._paused_until = float("inf")
             else:
@@ -368,27 +323,14 @@ class ChaosProxy(AuditedTimers):
 
     def _maybe_release_held(self, turn: int) -> None:
         """Flush stalled datagrams whose window has closed."""
-        if not self._held or self._is_paused():
-            return
-        if any(w.start <= turn <= w.end for w in self._stalls):
+        if not self._held or self._is_paused() or self._schedule.stalled(turn):
             return
         held, self._held = self._held, []
         for channel, data in held:
             self._forward(channel, data, 0.0)
 
-    def _scripted_drop(self, turn: int, channel: ChannelId) -> bool:
-        for window in self._drops:
-            if window.start <= turn <= window.end and (
-                window.channel is None or window.channel == channel.value
-            ):
-                return True
-        return False
-
-    def _in_stall(self, turn: int) -> bool:
-        return any(w.start <= turn <= w.end for w in self._stalls)
-
     def _fire_duplicate_bursts(self, turn: int) -> None:
-        bursts = self._dups.pop(turn, None)
+        bursts = self._schedule.bursts.pop(turn, None)
         if not bursts or self._last_forwarded is None:
             return
         channel, data = self._last_forwarded
@@ -426,7 +368,7 @@ class ChaosProxy(AuditedTimers):
         if dest is None:
             return
         self.stats.forwarded += 1
-        if self._dups:
+        if self._schedule.bursts:
             # The duplicate-burst replay buffer is only consulted while
             # scripted bursts remain; gating the (copying) bookkeeping on
             # that keeps the no-burst hot path zero-copy.

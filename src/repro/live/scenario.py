@@ -111,14 +111,6 @@ class LiveScenario:
         if self.wire != "batched":
             raise ValueError(f"unknown wire mode {self.wire!r}")
 
-    @property
-    def wants_stabilization(self) -> bool:
-        """True iff the plan injects in-place state corruption."""
-        return any(
-            isinstance(event, CorruptAt) and event.mode == "scramble"
-            for event in self.plan.events
-        )
-
 
 @dataclass
 class LiveRunReport:
@@ -266,7 +258,7 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
     def note_progress() -> None:
         progress["at"] = loop.time()
 
-    wants_stabilization = scenario.wants_stabilization
+    wants_stabilization = scenario.plan.wants_stabilization
 
     def _make_log() -> LiveEventLog:
         # Corruption plans get the stabilization-aware suite so Section 2.6
@@ -492,20 +484,18 @@ async def run_live_scenario_async(scenario: LiveScenario) -> LiveRunReport:
 def resolve_loop_backend(name: str) -> "tuple[str, object]":
     """Map a requested loop backend to ``(resolved_name, loop_factory)``.
 
-    ``"uvloop"`` and ``"auto"`` try to import uvloop and fall back to
-    asyncio when it is not installed — the dependency is optional and the
-    live stack must run identically without it.
+    ``"uvloop"`` tries to import uvloop and falls back to asyncio when it
+    is not installed — the dependency is optional and the live stack must
+    run identically without it.  The report's ``loop_backend`` records
+    which loop ran.
     """
-    if name in ("uvloop", "auto"):
+    if name == "uvloop":
         try:
             import uvloop  # type: ignore[import-not-found]
 
             return "uvloop", uvloop.new_event_loop
         except ImportError:
-            if name == "uvloop":
-                # Explicit request degrades gracefully: same semantics,
-                # stock loop.  The report's loop_backend records the truth.
-                pass
+            pass
     return "asyncio", asyncio.new_event_loop
 
 
@@ -514,10 +504,10 @@ def run_live_scenario(
 ) -> LiveRunReport:
     """Synchronous wrapper: run the scenario on a fresh event loop.
 
-    ``loop`` selects the event loop backend: ``"asyncio"`` (default),
-    ``"uvloop"`` (falls back to asyncio when not installed), or ``"auto"``
-    (uvloop if available).  The loop lifecycle is managed manually instead
-    of via ``asyncio.run`` so the same code path drives both backends.
+    ``loop`` selects the event loop backend: ``"asyncio"`` (default) or
+    ``"uvloop"`` (falls back to asyncio when not installed).  The loop
+    lifecycle is managed manually instead of via ``asyncio.run`` so the
+    same code path drives both backends.
     """
     backend, factory = resolve_loop_backend(loop)
     ev = factory()

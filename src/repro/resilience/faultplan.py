@@ -2,11 +2,13 @@
 
 A :class:`FaultPlan` is a JSON-serializable script of fault events — crash
 this station at step N, drop every packet announced in a window, duplicate
-a burst of recent traffic, stall the schedule — compiled by
-:class:`ScriptedAdversary` into a deterministic adversary.  Scripted
-schedules give the campaign engine record-and-replay fault injection: the
-exact schedule that produced a failure is archived next to the trace and
-can be re-run (or shrunk, see :mod:`repro.resilience.shrink`) bit-for-bit.
+a burst of recent traffic, stall the schedule.  :class:`FaultSchedule`
+files a plan's events by kind, once, for every harness that reads plans:
+:class:`ScriptedAdversary` (a deterministic adversary for the simulator),
+the live chaos proxy and the relay fabric.  Scripted schedules give the
+campaign engine record-and-replay fault injection: the exact schedule
+that produced a failure is archived next to the trace and can be re-run
+(or shrunk, see :mod:`repro.resilience.shrink`) bit-for-bit.
 
 Two event kinds exist purely to harden the *harness* rather than the
 protocol: :class:`HangAt` (the adversary stops returning — caught by the
@@ -30,7 +32,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.adversary.base import (
     CRASH_RECEIVER,
@@ -62,6 +64,7 @@ __all__ = [
     "RelayCrashAt",
     "RouteFlapAt",
     "FaultPlan",
+    "FaultSchedule",
     "ScriptedAdversary",
     "apply_fault_plan",
     "enable_hard_aborts",
@@ -149,9 +152,9 @@ class CorruptAt(FaultEvent):
     volatile slots (None = every corruptible field; see the stations'
     ``CORRUPTIBLE_FIELDS``), ``seed`` pins the scramble tape so a recorded
     corruption replays bit-identically, and ``mode="wipe"`` degrades the
-    event to the station's crash transition — compiled to the *same* crash
-    move a :class:`CrashAt` produces, so wipe-mode corruption and crash are
-    trace-identical by construction.
+    event to the station's crash transition — :class:`FaultSchedule` files
+    it as the crash a :class:`CrashAt` is, so wipe-mode corruption and
+    crash are trace-identical by construction.
     """
 
     kind = "corrupt"
@@ -515,6 +518,11 @@ class FaultPlan:
     def is_empty(self) -> bool:
         return not self.events
 
+    @property
+    def wants_stabilization(self) -> bool:
+        """True iff the plan scrambles a station (a wipe is a crash)."""
+        return bool(FaultSchedule(self.events).scrambles)
+
     def for_run(self, run_index: int) -> "FaultPlan":
         """Project the plan onto one campaign run (keeps unselective events)."""
         return FaultPlan(
@@ -576,54 +584,128 @@ class FaultPlan:
             return cls.from_json(stream.read())
 
 
+class FaultSchedule:
+    """A fault plan filed by kind: the one reading every harness shares.
+
+    :class:`ScriptedAdversary`, the live chaos proxy and the relay fabric
+    each build a schedule from the events they are given and consume it,
+    popping turn-table entries as they fire.  Turn tables map a turn (an
+    adversary move, a proxy-observed datagram or a fabric tick) to its
+    events in plan order.  A wipe-mode :class:`CorruptAt` is filed in
+    ``crashes`` as the crash it is, so wipe ≡ crash holds on every harness
+    by construction.
+    """
+
+    def __init__(self, events: Iterable[FaultEvent]) -> None:
+        # Station events by turn (the crash table holds station names, the
+        # others the events themselves), then the drop and stall windows.
+        self.crashes: Dict[int, List[str]] = {}
+        self.scrambles: Dict[int, List[CorruptAt]] = {}
+        self.bursts: Dict[int, List[DuplicateBurst]] = {}
+        self.hangs: Dict[int, List[HangAt]] = {}
+        self.aborts: Dict[int, List[AbortAt]] = {}
+        self.drops: List[DropWindow] = []
+        self.stalls: List[StallWindow] = []
+        # Topology events, by fabric tick: nodes to crash, ticks to flap.
+        self.down_windows: List[LinkDownWindow] = []
+        self.up_windows: List[LinkUpWindow] = []
+        self.relay_crashes: Dict[int, List[object]] = {}
+        self.flaps: Set[int] = set()
+        # The plan split by the harness it targets, in plan order.
+        self.station_events: List[FaultEvent] = []
+        self.topology_events: List[TopologyEvent] = []
+        first = last = None
+        for event in events:
+            if isinstance(event, TopologyEvent):
+                self.topology_events.append(event)
+                if isinstance(event, LinkDownWindow):
+                    self.down_windows.append(event)
+                elif isinstance(event, LinkUpWindow):
+                    self.up_windows.append(event)
+                elif isinstance(event, RelayCrashAt):
+                    self.relay_crashes.setdefault(event.step, []).append(event.node)
+                else:
+                    self.flaps.add(event.step)
+                continue
+            self.station_events.append(event)
+            if isinstance(event, (DropWindow, StallWindow)):
+                windows = self.drops if isinstance(event, DropWindow) else self.stalls
+                windows.append(event)
+                lo, hi = event.start, event.end
+            else:
+                entry = event
+                if isinstance(event, CrashAt) or (
+                    isinstance(event, CorruptAt) and event.mode == "wipe"
+                ):
+                    table, entry = self.crashes, event.station
+                elif isinstance(event, CorruptAt):
+                    table = self.scrambles
+                elif isinstance(event, DuplicateBurst):
+                    table = self.bursts
+                elif isinstance(event, HangAt):
+                    table = self.hangs
+                else:
+                    table = self.aborts
+                table.setdefault(event.step, []).append(entry)
+                lo = hi = event.step
+            first = lo if first is None else min(first, lo)
+            last = hi if last is None else max(last, hi)
+        #: The station events' turn span, ``[first_turn, last_turn]``;
+        #: empty, ``(1, 0)``, when the plan has none.
+        self.first_turn, self.last_turn = (1, 0) if first is None else (first, last)
+
+    def dropped(self, turn: int, channel: ChannelId) -> bool:
+        """Does a drop window swallow ``channel``'s traffic at ``turn``?"""
+        for window in self.drops:
+            if window.start <= turn <= window.end and (
+                window.channel is None or window.channel == channel.value
+            ):
+                return True
+        return False
+
+    def stalled(self, turn: int) -> bool:
+        """Does a stall window cover ``turn``?"""
+        return any(w.start <= turn <= w.end for w in self.stalls)
+
+
+def _pop_due(table: Dict[int, list], turn: int):
+    """Pop the first entry filed at or before ``turn`` (None if none is due).
+
+    Entries leave in turn order and, within a turn, in plan order, so
+    events that share a turn fire on successive moves.
+    """
+    if table:
+        due = min(table)
+        if due <= turn:
+            entries = table[due]
+            entry = entries.pop(0)
+            if not entries:
+                del table[due]
+            return entry
+    return None
+
+
 class ScriptedAdversary(Adversary):
     """Deterministic adversary compiled from a :class:`FaultPlan`.
 
     Turn numbers are 1-based counts of this adversary's own moves.  With no
     ``inner`` adversary the baseline schedule is benign FIFO delivery;
     with one, the inner adversary supplies the baseline schedule and the
-    scripted events overlay it.
+    scripted events overlay it.  An event fires on its turn; one whose turn
+    another event took fires on the next move.
     """
 
     def __init__(self, plan: FaultPlan, inner: Optional[Adversary] = None) -> None:
         super().__init__()
         self.plan = plan
         self.inner = inner
-        self._crashes: Dict[int, List[str]] = {}
-        self._corrupts: Dict[int, List[CorruptAt]] = {}
-        self._dups: Dict[int, List[DuplicateBurst]] = {}
-        self._hangs: Dict[int, Optional[float]] = {}
-        self._aborts: Dict[int, bool] = {}
-        self._drops: List[DropWindow] = []
-        self._stalls: List[StallWindow] = []
-        for event in plan.events:
-            if isinstance(event, TopologyEvent):
-                raise ValueError(
-                    f"fault event {type(event).kind!r} targets the network "
-                    "topology; it needs a relay-fabric run "
-                    "(repro campaign --topology), not a single-link adversary"
-                )
-            if isinstance(event, CrashAt):
-                self._crashes.setdefault(event.step, []).append(event.station)
-            elif isinstance(event, CorruptAt):
-                if event.mode == "wipe":
-                    # Wipe-mode corruption compiles to the exact crash move
-                    # a CrashAt produces: trace-identical by construction.
-                    self._crashes.setdefault(event.step, []).append(event.station)
-                else:
-                    self._corrupts.setdefault(event.step, []).append(event)
-            elif isinstance(event, DuplicateBurst):
-                self._dups.setdefault(event.step, []).append(event)
-            elif isinstance(event, HangAt):
-                self._hangs[event.step] = event.seconds
-            elif isinstance(event, AbortAt):
-                self._aborts[event.step] = (
-                    self._aborts.get(event.step, False) or event.hard
-                )
-            elif isinstance(event, DropWindow):
-                self._drops.append(event)
-            elif isinstance(event, StallWindow):
-                self._stalls.append(event)
+        self._schedule = FaultSchedule(plan.events)
+        if self._schedule.topology_events:
+            raise ValueError(
+                f"fault event {self._schedule.topology_events[0].kind!r} "
+                "targets the network topology; it needs a relay-fabric run "
+                "(repro campaign --topology), not a single-link adversary"
+            )
         self._queue: List[PacketInfo] = []  # own FIFO when inner is None
         # Duplicate-burst copies waiting for their (turn, packet) due date.
         self._redeliver: List[Tuple[int, PacketInfo]] = []
@@ -638,18 +720,9 @@ class ScriptedAdversary(Adversary):
 
     # -- announcements -------------------------------------------------------------
 
-    def _in_drop_window(self, turn: int, channel: ChannelId) -> bool:
-        for window in self._drops:
-            if window.start <= turn <= window.end and (
-                window.channel is None or window.channel == channel.value
-            ):
-                return True
-        return False
-
     def on_new_pkt(self, info: PacketInfo) -> None:
         # Announcements land between moves; they belong to the upcoming turn.
-        turn = self.moves_made + 1
-        if self._in_drop_window(turn, info.channel):
+        if self._schedule.dropped(self.moves_made + 1, info.channel):
             self.dropped += 1
             return
         self._last_announced = info
@@ -662,40 +735,38 @@ class ScriptedAdversary(Adversary):
 
     def _decide(self) -> Move:
         turn = self.moves_made
-        if turn in self._aborts:
-            hard = self._aborts.pop(turn)
-            if hard and _HARD_ABORTS_ENABLED:
+        schedule = self._schedule
+        abort = _pop_due(schedule.aborts, turn)
+        if abort is not None:
+            if abort.hard and _HARD_ABORTS_ENABLED:
                 os._exit(86)
             raise FaultInjectionAbort(f"scripted abort at turn {turn}")
-        if turn in self._hangs:
-            seconds = self._hangs.pop(turn)
-            if seconds is None:
+        hang = _pop_due(schedule.hangs, turn)
+        if hang is not None:
+            if hang.seconds is None:
                 while True:  # until the supervisor's watchdog interrupts
                     time.sleep(0.05)
-            time.sleep(seconds)
+            time.sleep(hang.seconds)
             return PASS
-        stations = self._crashes.get(turn)
-        if stations:
-            station = stations.pop(0)
-            if not stations:
-                del self._crashes[turn]
+        station = _pop_due(schedule.crashes, turn)
+        if station is not None:
             return CRASH_TRANSMITTER if station == "T" else CRASH_RECEIVER
-        corrupts = self._corrupts.get(turn)
-        if corrupts:
-            event = corrupts.pop(0)
-            if not corrupts:
-                del self._corrupts[turn]
+        scramble = _pop_due(schedule.scrambles, turn)
+        if scramble is not None:
             return Corrupt(
-                station=event.station, fields=event.fields, seed=event.seed
+                station=scramble.station, fields=scramble.fields, seed=scramble.seed
             )
-        if turn in self._dups and self._last_announced is not None:
-            for burst in self._dups.pop(turn):
+        # Bursts take no move of their own: every due one is filed now.
+        burst = _pop_due(schedule.bursts, turn)
+        while burst is not None:
+            if self._last_announced is not None:
                 self._redeliver.extend(
                     (turn + k * burst.spacing, self._last_announced)
                     for k in range(burst.copies)
                 )
                 self.duplicated += burst.copies
-        if any(w.start <= turn <= w.end for w in self._stalls):
+            burst = _pop_due(schedule.bursts, turn)
+        if schedule.stalled(turn):
             return PASS
         due = next(
             (i for i, (when, _) in enumerate(self._redeliver) if when <= turn), None

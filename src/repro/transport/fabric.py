@@ -57,14 +57,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
 from repro.core.random_source import RandomSource, split_seed
 from repro.kernel.hop import HopKernel
-from repro.resilience.faultplan import (
-    FaultPlan,
-    LinkDownWindow,
-    LinkUpWindow,
-    RelayCrashAt,
-    RouteFlapAt,
-    TopologyEvent,
-)
+from repro.resilience.faultplan import FaultPlan, FaultSchedule, TopologyEvent
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.runner import RunOutcome
 from repro.sim.simulator import SimulationResult, Simulator, check_engine
@@ -374,7 +367,7 @@ class FabricRun:
             for (u, v), link in self.links.items()
         ]
 
-        self._sort_events(events)
+        self._schedule = self._check_events(events)
 
         # Source endpoint: windowed pipeline with timeout retransmission.
         self._next_seq = 0
@@ -398,49 +391,40 @@ class FabricRun:
 
     # -- fault-plan interpretation ----------------------------------------------------
 
-    def _sort_events(self, events: Tuple[TopologyEvent, ...]) -> None:
+    def _check_events(self, events: Tuple[TopologyEvent, ...]) -> FaultSchedule:
+        """File the events, rejecting any this topology cannot act on."""
+        schedule = FaultSchedule(events)
+        if schedule.station_events:
+            raise ConfigurationError(
+                f"fault event {schedule.station_events[0].kind!r} targets a "
+                "single-link station; a fabric run only interprets topology "
+                "events"
+            )
+        for window in schedule.down_windows + schedule.up_windows:
+            self.network.link(*window.link)  # raises if not an edge
         src, dst = self.network.source, self.network.destination
-        self._down_windows: List[LinkDownWindow] = []
-        self._up_windows: List[LinkUpWindow] = []
-        self._crashes: Dict[int, List[object]] = {}
-        self._flaps: Dict[int, int] = {}
-        for event in events:
-            if not isinstance(event, TopologyEvent):
-                raise ConfigurationError(
-                    f"fault event {type(event).kind!r} targets a single-link "
-                    "station; a fabric run only interprets topology events"
-                )
-            if isinstance(event, (LinkDownWindow, LinkUpWindow)):
-                a, b = event.link
-                self.network.link(a, b)  # raises if not an edge
-                windows = (
-                    self._down_windows
-                    if isinstance(event, LinkDownWindow)
-                    else self._up_windows
-                )
-                windows.append(event)
-            elif isinstance(event, RelayCrashAt):
-                if event.node not in self.network.nodes:
+        for nodes in schedule.relay_crashes.values():
+            for node in nodes:
+                if node not in self.network.nodes:
                     raise ConfigurationError(
-                        f"relay_crash names unknown node {event.node!r}"
+                        f"relay_crash names unknown node {node!r}"
                     )
-                if event.node in (src, dst):
+                if node in (src, dst):
                     raise ConfigurationError(
                         "relay_crash cannot target the source or destination "
                         "endpoint; script those with crash_t/crash_r on a "
                         "single link"
                     )
-                self._crashes.setdefault(event.step, []).append(event.node)
-            elif isinstance(event, RouteFlapAt):
-                self._flaps[event.step] = self._flaps.get(event.step, 0) + 1
+        return schedule
 
     def _apply_topology(self, tick: int) -> None:
         """Markov dynamics, then scripted windows (down overrides up)."""
         self.network.tick(self._rng)
-        for window in self._up_windows:
+        schedule = self._schedule
+        for window in schedule.up_windows:
             if window.start <= tick <= window.end:
                 self.network.link(*window.link).up = True
-        for window in self._down_windows:
+        for window in schedule.down_windows:
             state = self.network.link(*window.link)
             if window.start <= tick <= window.end:
                 state.up = False
@@ -451,9 +435,9 @@ class FabricRun:
         if route is not None and not self.network.path_up(route):
             self._route = None
             self.reroutes += 1
-        for node in self._crashes.get(tick, ()):
+        for node in schedule.relay_crashes.get(tick, ()):
             self._crash_relay(node)
-        if self._flaps.get(tick):
+        if tick in schedule.flaps:
             if self._route is not None:
                 self.reroutes += 1
             self._route = None

@@ -78,24 +78,3 @@ class TestProjections:
         summary = sample_trace().summary()
         assert "sends=3" in summary
         assert "oks=2" in summary
-
-
-class TestMessageOutcomes:
-    def test_resolutions(self):
-        outcomes = sample_trace().message_outcomes()
-        assert [o.resolution for o in outcomes] == ["ok", "crash", "ok"]
-
-    def test_delivery_flags(self):
-        outcomes = sample_trace().message_outcomes()
-        assert outcomes[0].delivered_before_resolution
-        assert not outcomes[1].delivered_before_resolution
-        assert outcomes[2].delivered_before_resolution
-
-    def test_pending_when_unresolved(self):
-        trace = Trace([SendMsg(b"x"), Retry()])
-        outcomes = trace.message_outcomes()
-        assert outcomes[0].resolution == "pending"
-        assert outcomes[0].resolution_index is None
-
-    def test_empty_trace(self):
-        assert Trace().message_outcomes() == []

@@ -1,10 +1,10 @@
-"""Unit tests for the trace's retention modes, tallies, and events view."""
+"""Unit tests for the trace's retention modes and tallies."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.checkers.trace import RETENTION_MODES, EventsView, Trace
+from repro.checkers.trace import RETENTION_MODES, Trace
 from repro.core.events import (
     ChannelId,
     CrashR,
@@ -94,10 +94,8 @@ def test_tail_retention_refuses_full_sequence_queries():
     for operation in (
         lambda: trace[0],
         lambda: list(iter(trace)),
-        lambda: trace.events,
         lambda: trace.of_type(SendMsg),
         lambda: trace.indexes_of(SendMsg),
-        lambda: trace.message_outcomes(),
     ):
         with pytest.raises(TraceRetentionError):
             operation()
@@ -115,7 +113,7 @@ def test_none_retention_counts_only():
     assert trace.count(ReceiveMsg) == 2
     assert trace.ok_count() == 2
     with pytest.raises(TraceRetentionError):
-        trace.events
+        list(trace)
 
 
 def test_tally_and_tally1_update_counters():
@@ -191,38 +189,3 @@ def test_observer_type_filter_includes_subclasses():
     trace.append(fancy)
     trace.append(CrashR())
     assert received == [fancy]
-
-
-# -- EventsView --------------------------------------------------------------
-
-
-def test_events_view_reads_like_a_sequence():
-    events = handshake_events(2)
-    view = Trace(events).events
-    assert isinstance(view, EventsView)
-    assert len(view) == len(events)
-    assert view[0] == events[0]
-    assert view[-1] == events[-1]
-    assert view[1:3] == tuple(events[1:3])
-    assert list(view) == events
-    assert view == events
-    assert view == tuple(events)
-    assert view == Trace(events).events
-    assert view != events[:-1]
-
-
-def test_events_view_is_immutable_and_unhashable():
-    view = Trace(handshake_events(1)).events
-    with pytest.raises(TypeError):
-        view[0] = Ok()  # type: ignore[index]
-    assert not hasattr(view, "append")
-    with pytest.raises(TypeError):
-        hash(view)
-
-
-def test_events_view_tracks_later_appends():
-    trace = Trace()
-    view = trace.events
-    assert len(view) == 0
-    trace.append(SendMsg(message=b"late"))
-    assert len(view) == 1  # a view, not a snapshot

@@ -96,7 +96,7 @@ class TestKernelEngine:
             attacker, sim, result = launch(LINKS[link](seed), seed, engine)
             channels = (sim.channels.t_to_r, sim.channels.r_to_t)
             runs.append((
-                list(result.trace.events),
+                list(result.trace),
                 result.steps,
                 attacker.surgical_hits,
                 attacker.archive_size,

@@ -12,6 +12,7 @@ import pytest
 
 from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
 from repro.checkers.safety import check_all_safety
+from repro.core.events import CrashT, Ok, SendMsg
 from repro.core.protocol import make_data_link
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
@@ -94,8 +95,17 @@ class TestMemoryErasure:
 class TestCrashResolutionSemantics:
     def test_crashed_messages_are_crash_resolved(self):
         result, __ = run(ScheduledCrashAdversary([(6, "T")]), messages=8)
-        outcomes = result.trace.message_outcomes()
-        resolutions = {o.resolution for o in outcomes}
+        # Each send_msg stays pending until the OK or crash^T after it.
+        outcomes = []
+        for event in result.trace:
+            if isinstance(event, SendMsg):
+                outcomes.append("pending")
+            elif outcomes and outcomes[-1] == "pending":
+                if isinstance(event, Ok):
+                    outcomes[-1] = "ok"
+                elif isinstance(event, CrashT):
+                    outcomes[-1] = "crash"
+        resolutions = set(outcomes)
         assert "ok" in resolutions
         # Either the crash hit between messages (all ok) or one message
         # resolved by crash; never anything else.

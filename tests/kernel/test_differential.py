@@ -159,7 +159,7 @@ def snapshot(outcome):
                 adv_state["inner_" + name] = getattr(inner, name)
     trace = result.trace
     return {
-        "events": list(trace.events),
+        "events": list(trace),
         "counts": (trace.packets_sent(), trace.packets_delivered(),
                    trace.retries(), trace.ok_count(), trace.crash_count()),
         "completed": result.completed,

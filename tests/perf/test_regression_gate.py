@@ -318,12 +318,10 @@ def test_bench_cli_parser_accepts_the_documented_flags():
     parser = build_parser()
     args = parser.parse_args(
         ["bench", "--quick", "--out", "x.json", "--check", "y.json",
-         "--threshold", "0.3", "--base-seed", "7", "--only", "kernel",
-         "--profile"]
+         "--threshold", "0.3", "--base-seed", "7", "--only", "kernel"]
     )
     assert args.command == "bench"
     assert args.quick and args.out == "x.json" and args.check == "y.json"
     assert args.threshold == pytest.approx(0.3)
     assert args.base_seed == 7
     assert args.only == "kernel"
-    assert args.profile

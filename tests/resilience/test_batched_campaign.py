@@ -202,7 +202,7 @@ def test_simulator_reset_identical_to_fresh_after_crash_fault_run():
     ).run()
     assert recycled.steps == fresh.steps
     assert recycled.completed == fresh.completed
-    assert recycled.trace.events == fresh.trace.events
+    assert list(recycled.trace) == list(fresh.trace)
     assert recycled.metrics.to_wire()[:16] == fresh.metrics.to_wire()[:16]
 
 

@@ -56,7 +56,7 @@ from tests.resilience.conftest import make_paper_spec
 
 def trace_events(spec: RunSpec, plan: FaultPlan, seed: int = 3):
     outcome = run_once(apply_fault_plan(spec, plan), seed)
-    return list(outcome.result.trace.events)
+    return list(outcome.result.trace)
 
 
 # -- wipe ≡ crash -------------------------------------------------------------------

@@ -59,7 +59,7 @@ class TestFaultFreeRuns:
         a = run(ReliableAdversary(), seed=3, link_seed=5)
         b = run(ReliableAdversary(), seed=3, link_seed=5)
         assert a.steps == b.steps
-        assert a.trace.events == b.trace.events
+        assert list(a.trace) == list(b.trace)
 
 
 class TestFaultyRuns:
@@ -246,7 +246,7 @@ class TestStepMatchesRun:
         assert got.steps == expected.steps
         assert got.completed == expected.completed
         if retain == "full":
-            assert list(got.trace.events) == list(expected.trace.events)
+            assert list(got.trace) == list(expected.trace)
         elif retain == "tail":
             assert got.trace.tail_events() == expected.trace.tail_events()
         assert dataclasses.replace(

@@ -1,13 +1,16 @@
 """Every import in ``src/``, ``tests/``, ``benchmarks/`` and ``examples/``
-is used by the module that makes it, and no ``src/`` module reads the
-environment.
+is used by the module that makes it, no ``src/`` module reads the
+environment, and only the fault-plan module tells fault events apart.
 
 No lint tool runs in CI, so this test is the check: it parses each module
 with :mod:`ast` and fails on a bound import name that no expression or
 annotation (quoted ones included) of the module reads and that its
 ``__all__`` does not export, and on any ``os.environ`` or ``os.getenv``
 in ``src/``: an environment variable the library reads is a switch that
-no signature or option shows.
+no signature or option shows.  It also fails on an ``isinstance`` test
+against a fault-event class outside ``repro/resilience/faultplan.py``:
+:class:`~repro.resilience.faultplan.FaultSchedule` files a plan once for
+every harness, and a second reading of the same events can drift from it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ ENV_READERS: set = set()
 
 #: ``os`` attributes that read the environment.
 _ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+#: The one ``src/`` module that files fault events by kind.
+FAULT_EVENT_READER = "src/repro/resilience/faultplan.py"
 
 
 def quoted_annotation_names(tree: ast.AST):
@@ -149,3 +155,62 @@ def test_environment_reads_finds_every_form(tmp_path):
         encoding="utf-8",
     )
     assert environment_reads(module) == [2, 3, 4, 5]
+
+
+def fault_event_tests(path: Path, classes):
+    """Lines of ``path`` calling ``isinstance`` with one of ``classes``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        spec = node.args[1]
+        for part in spec.elts if isinstance(spec, ast.Tuple) else (spec,):
+            name = getattr(part, "id", None) or getattr(part, "attr", None)
+            if name in classes:
+                lines.append(node.lineno)
+                break
+    return sorted(lines)
+
+
+def fault_event_classes():
+    from repro.resilience import faultplan
+
+    return {
+        name
+        for name, value in vars(faultplan).items()
+        if isinstance(value, type) and issubclass(value, faultplan.FaultEvent)
+    }
+
+
+def test_only_the_fault_schedule_tells_fault_events_apart():
+    classes = fault_event_classes()
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = path.relative_to(ROOT).as_posix()
+        if module != FAULT_EVENT_READER:
+            found += [
+                f"{module}:{line}" for line in fault_event_tests(path, classes)
+            ]
+    assert found == []
+
+
+def test_fault_event_tests_finds_every_form(tmp_path):
+    # The check above has nothing to find in src/, so pin that it sees a
+    # bare class, a tuple member and a module attribute, and nothing else.
+    module = tmp_path / "reader.py"
+    module.write_text(
+        "from repro.resilience import faultplan\n"
+        "from repro.resilience.faultplan import CrashAt, DropWindow\n"
+        "a = isinstance(event, CrashAt)\n"
+        "b = isinstance(event, (int, DropWindow))\n"
+        "c = isinstance(event, faultplan.TopologyEvent)\n"
+        "d = isinstance(event, (int, str))\n"
+        "e = type(event) is CrashAt\n",
+        encoding="utf-8",
+    )
+    assert fault_event_tests(module, fault_event_classes()) == [3, 4, 5]

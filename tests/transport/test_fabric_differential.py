@@ -60,7 +60,7 @@ def _fingerprint(spec: FabricSpec, events, seed: int):
     out = run.run()
     metrics_wire = run._aggregate_metrics(1.0).to_wire()
     return {
-        "trace": tuple(out.result.trace.events),
+        "trace": tuple(out.result.trace),
         "verdict": run.verdict(),
         "diagnostics": {
             "ticks": run.ticks,

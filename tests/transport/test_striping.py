@@ -116,7 +116,7 @@ class TestStripedFabric:
             run = FabricRun(spec, (), seed=7)
             out = run.run()
             fingerprints.append(
-                (tuple(out.result.trace.events), run.ticks, run.verdict())
+                (tuple(out.result.trace), run.ticks, run.verdict())
             )
         assert fingerprints[0] == fingerprints[1]
 
