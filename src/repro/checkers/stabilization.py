@@ -184,6 +184,10 @@ class StabilizationMonitor(StreamMonitor):
 
     condition = "stabilization"
 
+    # The packet counters are read only as differences across an open
+    # episode (_on_corruption, _converge), and only a Corruption opens one.
+    episode_only = (PktSent, PktDelivered)
+
     def __init__(self, scrub: Sequence[StreamMonitor], window: int = 8) -> None:
         if window < 1:
             raise ValueError("window must be >= 1")

@@ -70,6 +70,12 @@ class StreamMonitor:
 
     condition: str = ""
 
+    #: Event types among :meth:`handlers` whose handling only measures an
+    #: open stabilization episode, which only a ``Corruption`` opens: in an
+    #: execution with no ``Corruption`` they cannot change any verdict, so
+    #: a dispatcher that knows none is coming may skip them.
+    episode_only: Tuple[Type[Event], ...] = ()
+
     def handlers(self) -> Dict[Type[Event], Handler]:
         """Map each observed event type to its bound handler."""
         raise NotImplementedError
@@ -527,11 +533,19 @@ class Axiom3BoundedMonitor(StreamMonitor):
 
 def _build_table(
     monitors: Iterable[StreamMonitor],
+    corruption_free: bool = False,
 ) -> Dict[Type[Event], Tuple[Handler, ...]]:
+    """Event type -> the monitors' handlers, in suite order.
+
+    ``corruption_free`` leaves out each monitor's ``episode_only`` types:
+    the table for an execution that never sees a ``Corruption``.
+    """
     table: Dict[Type[Event], List[Handler]] = {}
     for monitor in monitors:
+        skipped = monitor.episode_only if corruption_free else ()
         for event_type, handler in monitor.handlers().items():
-            table.setdefault(event_type, []).append(handler)
+            if event_type not in skipped:
+                table.setdefault(event_type, []).append(handler)
     return {event_type: tuple(handlers) for event_type, handlers in table.items()}
 
 
@@ -630,6 +644,12 @@ class StreamingChecks:
         self.axiom3 = slot("axiom-3")
         self.stabilization = slot("stabilization")
         self._table = _build_table(self.monitors)
+        # For a dispatcher that emits no Corruption (the kernel's
+        # precompiled adversary modes); a type whose handlers all drop out
+        # resolves to no handlers there.
+        self._corruption_free_table = _build_table(
+            self.monitors, corruption_free=True
+        )
         self.events_seen = 0
         self._timed = timed
         self._timed_samples = 0
@@ -674,12 +694,13 @@ class StreamingChecks:
                 handler(index, event)
 
     def reset(self) -> None:
-        """Reset every monitor for a new run, keeping the dispatch table.
+        """Reset every monitor for a new run, keeping the dispatch tables.
 
         Each monitor is reset *in place* (never replaced), so the bound
-        handlers baked into ``_table`` — including any cached subclass
-        resolutions — remain correct.  A reset checker is observationally
-        identical to a freshly-constructed one with the same monitor set.
+        handlers baked into ``_table`` and ``_corruption_free_table`` —
+        including any cached subclass resolutions — remain correct.  A
+        reset checker is observationally identical to a freshly-constructed
+        one with the same monitor set.
         """
         for monitor in self.monitors:
             monitor.reset()

@@ -310,7 +310,10 @@ def step_loop(sim, feed=None, gate=None):
     the run's ``StreamingChecks`` is the only observer) or the subscribed
     observers (when the run has no checks) itself, and the trace counters
     and checker bookkeeping are settled at :data:`SYNC` (an observer
-    reading them mid-run sees the last sync's values).
+    reading them mid-run sees the last sync's values).  The handlers come
+    from the checker's corruption-free table, since these modes emit no
+    ``Corruption``; a packet event no handler there observes is only
+    counted, never built.
 
     Only the GHM stations have a flat mirror, and the kernel never calls a
     station method in the loop, so any other station class (a baseline
@@ -401,6 +404,10 @@ def step_loop(sim, feed=None, gate=None):
     # and, for packets, the channel deltas the untraced tallies use; both
     # move before the handlers run (Trace.append too counts before it
     # notifies), so a handler that raises leaves them summing to the total.
+    # A precompiled mode emits no Corruption, so the monitors' handlers come
+    # from the checker's corruption-free table; a class that resolves to no
+    # handler there is not built, but still takes its index and its timing
+    # sample (at zero cost), so every count matches the object engine's.
     h_send = h_recv = h_ok = h_ct = h_cr = None
     h_psent = h_pdel = h_retry = None
     n_send = n_recv = n_ok = n_ct = n_cr = n_retry = 0
@@ -411,7 +418,7 @@ def step_loop(sim, feed=None, gate=None):
     if trace._retain == "none" and not generic:
         if checks is not None:
             expected = (checks.observe,)
-            table = checks._table
+            table = checks._corruption_free_table
         resolved = []
         for _cls, _rec in (
             (SendMsg, True), (ReceiveMsg, True), (Ok, True), (CrashT, True),
@@ -774,7 +781,7 @@ def step_loop(sim, feed=None, gate=None):
                             if rec_sent:
                                 if h_psent is None:
                                     trace_append(mk_psent(T2R, pid, length))
-                                else:
+                                elif h_psent:
                                     ev = mk_psent(T2R, pid, length)
                                     idx = ev_total
                                     ev_total = idx + 1
@@ -787,6 +794,12 @@ def step_loop(sim, feed=None, gate=None):
                                     else:
                                         for h in h_psent:
                                             h(idx, ev)
+                                else:
+                                    if timed and (
+                                        (ev_total + seen_off) % stride == 1
+                                    ):
+                                        samples += 1
+                                    ev_total += 1
                             if is_fair:
                                 if not seen_t:
                                     seen_t = True
@@ -840,7 +853,7 @@ def step_loop(sim, feed=None, gate=None):
                         if rec_sent:
                             if h_psent is None:
                                 trace_append(mk_psent(R2T, pid, length))
-                            else:
+                            elif h_psent:
                                 ev = mk_psent(R2T, pid, length)
                                 idx = ev_total
                                 ev_total = idx + 1
@@ -853,6 +866,10 @@ def step_loop(sim, feed=None, gate=None):
                                 else:
                                     for h in h_psent:
                                         h(idx, ev)
+                            else:
+                                if timed and (ev_total + seen_off) % stride == 1:
+                                    samples += 1
+                                ev_total += 1
                         if is_fair:
                             if not seen_r:
                                 seen_r = True
@@ -1078,7 +1095,7 @@ def step_loop(sim, feed=None, gate=None):
                         if rec_deliv:
                             if h_pdel is None:
                                 trace_append(mk_pdel(T2R, dpid))
-                            else:
+                            elif h_pdel:
                                 ev = mk_pdel(T2R, dpid)
                                 idx = ev_total
                                 ev_total = idx + 1
@@ -1091,6 +1108,10 @@ def step_loop(sim, feed=None, gate=None):
                                 else:
                                     for h in h_pdel:
                                         h(idx, ev)
+                            else:
+                                if timed and (ev_total + seen_off) % stride == 1:
+                                    samples += 1
+                                ev_total += 1
                         message, prv_, prl_, ptv, ptl = pkt
                         if prv_ == r_rho_v and prl_ == r_rho_l:
                             if (
@@ -1179,7 +1200,7 @@ def step_loop(sim, feed=None, gate=None):
                         if rec_deliv:
                             if h_pdel is None:
                                 trace_append(mk_pdel(R2T, dpid))
-                            else:
+                            elif h_pdel:
                                 ev = mk_pdel(R2T, dpid)
                                 idx = ev_total
                                 ev_total = idx + 1
@@ -1192,6 +1213,10 @@ def step_loop(sim, feed=None, gate=None):
                                 else:
                                     for h in h_pdel:
                                         h(idx, ev)
+                            else:
+                                if timed and (ev_total + seen_off) % stride == 1:
+                                    samples += 1
+                                ev_total += 1
                         prv_, prl_, ptv, ptl, pretry = pkt
                         if t_busy:
                             if (
@@ -1270,7 +1295,7 @@ def step_loop(sim, feed=None, gate=None):
                                             trace_append(
                                                 mk_psent(T2R, pid, length)
                                             )
-                                        else:
+                                        elif h_psent:
                                             ev = mk_psent(T2R, pid, length)
                                             idx = ev_total
                                             ev_total = idx + 1
@@ -1285,6 +1310,13 @@ def step_loop(sim, feed=None, gate=None):
                                             else:
                                                 for h in h_psent:
                                                     h(idx, ev)
+                                        else:
+                                            if timed and (
+                                                (ev_total + seen_off) % stride
+                                                == 1
+                                            ):
+                                                samples += 1
+                                            ev_total += 1
                                     if is_fair:
                                         if not seen_t:
                                             seen_t = True

@@ -53,6 +53,7 @@ import multiprocessing
 import os
 import random
 import signal
+import sys
 import tempfile
 import threading
 import time
@@ -105,8 +106,15 @@ BACKOFF_CAP = 2.0
 #: Whether campaign runs capture traces, which non-ok runs archive.
 CAPTURE_TRACES = True
 
+# ``slots=True`` needs Python 3.10; on 3.9 the report degrades gracefully to
+# an ordinary frozen dataclass (with a per-instance __dict__).
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True)
+#: A run's safety summary: condition -> (failures, trials).
+SafetySummary = Dict[str, Tuple[int, int]]
+
+
+@dataclass(frozen=True, **_SLOTS)
 class RunReport:
     """Everything the supervisor kept about one run's terminal attempt."""
 
@@ -121,7 +129,8 @@ class RunReport:
     worker_deaths: int = 0
     metrics: Optional[SimulationMetrics] = field(repr=False, default=None)
     #: condition -> (failures, trials); None when the run produced no trace.
-    safety_summary: Optional[Dict[str, Tuple[int, int]]] = None
+    #: Read-only: decoded campaign reports share equal summaries.
+    safety_summary: Optional[SafetySummary] = None
     violations: Tuple[str, ...] = ()
     trace_jsonl: Optional[str] = field(repr=False, default=None)
     error: Optional[str] = None
@@ -198,11 +207,22 @@ def encode_report(report: RunReport) -> tuple:
     )
 
 
-def decode_report(wire: tuple) -> RunReport:
-    """Rebuild the :class:`RunReport` a shard worker encoded."""
+def decode_report(
+    wire: tuple, summaries: Optional[Dict[tuple, SafetySummary]] = None
+) -> RunReport:
+    """Rebuild the :class:`RunReport` a shard worker encoded.
+
+    ``summaries`` maps each wire safety summary decoded so far to its dict,
+    so reports with equal summaries share one (read-only) dict: a campaign
+    keeps every report, and most runs end with one of a few summaries.
+    :func:`run_campaign` passes one map per campaign.
+    """
     metrics_wire = wire[7]
     summary_wire = wire[8]
     stabilization_wire = wire[13]
+    summary = None if summary_wire is None else dict(summary_wire)
+    if summary is not None and summaries is not None:
+        summary = summaries.setdefault(summary_wire, summary)
     return RunReport(
         index=wire[0],
         seed=wire[1],
@@ -214,7 +234,7 @@ def decode_report(wire: tuple) -> RunReport:
         metrics=(
             None if metrics_wire is None else SimulationMetrics.from_wire(metrics_wire)
         ),
-        safety_summary=None if summary_wire is None else dict(summary_wire),
+        safety_summary=summary,
         violations=wire[9],
         trace_jsonl=wire[10],
         error=wire[11],
@@ -995,6 +1015,7 @@ def _run_with_pool(
     _FORK_STATE["fault_plan"] = fault_plan
     marker_dir = tempfile.mkdtemp(prefix="repro-campaign-")
     chunk = config.resolve_chunk_size(runs)
+    summaries: Dict[tuple, SafetySummary] = {}
     quarantine = False
     try:
         while len(final) < runs:
@@ -1007,13 +1028,13 @@ def _run_with_pool(
                         continue
                     _pool_round(
                         [index], 1, 1, context, marker_dir, spec, base_seed,
-                        config, states, final,
+                        config, states, final, summaries,
                     )
                 quarantine = False
             else:
                 quarantine = _pool_round(
                     unfinished, config.jobs, chunk, context, marker_dir, spec,
-                    base_seed, config, states, final,
+                    base_seed, config, states, final, summaries,
                 )
     finally:
         _FORK_STATE.pop("spec", None)
@@ -1037,6 +1058,7 @@ def _pool_round(
     config: CampaignConfig,
     states: Dict[int, _RunState],
     final: Dict[int, RunReport],
+    summaries: Dict[tuple, SafetySummary],
 ) -> bool:
     """One executor's lifetime.  Returns True on an ambiguous pool break.
 
@@ -1044,6 +1066,7 @@ def _pool_round(
     (see :func:`_campaign_shard_worker`).  Runs flagged for retry are
     resubmitted as single-run shards — a retry already paid a backoff
     sleep, so batching it with strangers would only couple their fates.
+    ``summaries`` is the campaign's map for :func:`decode_report`.
     """
     broken = False
     futures: Dict[object, List[int]] = {}
@@ -1077,7 +1100,10 @@ def _pool_round(
                 reports: Optional[List[RunReport]] = None
                 shard_error: Optional[str] = None
                 try:
-                    reports = [decode_report(wire) for wire in future.result()]
+                    reports = [
+                        decode_report(wire, summaries)
+                        for wire in future.result()
+                    ]
                 except BrokenExecutor:
                     broken = True
                     continue

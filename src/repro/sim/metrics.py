@@ -18,6 +18,7 @@ next to violation rates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -26,8 +27,12 @@ from repro.core.protocol import DataLink
 
 __all__ = ["SimulationMetrics", "MetricsCollector"]
 
+# ``slots=True`` needs Python 3.10; on 3.9 the class degrades gracefully to
+# an ordinary frozen dataclass (with a per-instance __dict__).
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, **_SLOTS)
 class SimulationMetrics:
     """Frozen per-run summary.
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.checkers.stabilization import (
     ConvergenceRecord,
@@ -31,9 +32,12 @@ from repro.core.events import (
     Corruption,
     CrashR,
     CrashT,
+    Ok,
     PktDelivered,
     PktSent,
     ReceiveMsg,
+    Retry,
+    SendMsg,
 )
 
 WINDOW = 3
@@ -231,3 +235,76 @@ class TestWireRoundTrip:
             corruptions=1, converged=0, window=8
         )
         assert first.pending == 1
+
+
+# Corruption-free executions over every class a simulator records.  Small
+# alphabets make the safety monitors fire, so violation indices are tested.
+_messages = st.sampled_from([b"a", b"b", b"c"])
+_channels = st.sampled_from([ChannelId.T_TO_R, ChannelId.R_TO_T])
+_corruption_free_events = st.one_of(
+    _messages.map(lambda m: SendMsg(message=m)),
+    _messages.map(lambda m: ReceiveMsg(message=m)),
+    st.just(Ok()),
+    st.just(CrashT()),
+    st.just(CrashR()),
+    st.just(Retry()),
+    st.builds(
+        PktSent,
+        channel=_channels,
+        packet_id=st.integers(min_value=0, max_value=5),
+        length_bits=st.just(16),
+    ),
+    st.builds(
+        PktDelivered,
+        channel=_channels,
+        packet_id=st.integers(min_value=0, max_value=5),
+    ),
+)
+
+
+class TestEpisodeOnlyTypes:
+    """The monitor's ``episode_only`` classes are inert outside an episode.
+
+    A dispatcher that emits no ``Corruption`` (the kernel's precompiled
+    adversary modes) skips them; the verdicts must not notice.
+    """
+
+    def test_declared_types(self):
+        assert set(StabilizationMonitor.episode_only) == {PktSent, PktDelivered}
+        assert set(StabilizationMonitor.episode_only) <= set(
+            make_checks().stabilization.handlers()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_corruption_free_events, max_size=80), st.booleans())
+    def test_skipping_them_changes_no_verdict(self, events, run_completed):
+        full = make_checks()
+        feed(full, events)
+        skipped = make_checks()
+        episode_only = skipped.stabilization.episode_only
+        for index, event in enumerate(events):
+            if type(event) not in episode_only:
+                skipped.observe(index, event)
+        for checks in (full, skipped):
+            checks.stabilization.finalize(run_completed)
+        # Frozen reports: verdicts, trials and every violation's
+        # condition, index and detail compare in one shot.
+        assert skipped.safety_report() == full.safety_report()
+        assert skipped.liveness_report(run_completed) == full.liveness_report(
+            run_completed
+        )
+        assert skipped.stabilization_report() == full.stabilization_report()
+        assert skipped.stabilization.report() == full.stabilization.report()
+
+    def test_corruption_free_table_drops_only_their_handlers(self):
+        checks = make_checks()
+        assert PktSent in checks._table
+        assert PktSent not in checks._corruption_free_table
+        assert PktDelivered not in checks._corruption_free_table
+        assert checks._corruption_free_table[SendMsg] == checks._table[SendMsg]
+        # Another monitor observing packets keeps its handlers.
+        with_axioms = StreamingChecks(axioms=True, stabilization=True)
+        assert with_axioms._corruption_free_table[PktSent] == (
+            with_axioms.axiom3._on_sent,
+        )
+        assert len(with_axioms._table[PktSent]) == 2

@@ -42,7 +42,12 @@ from repro.baselines import (
     make_nonvolatile_bit_link,
     make_stop_and_wait_link,
 )
-from repro.checkers.streaming import StreamingChecks
+from repro.checkers.report import CheckReport
+from repro.checkers.streaming import (
+    LivenessMonitor,
+    StreamMonitor,
+    StreamingChecks,
+)
 from repro.core.events import (
     ChannelId,
     CrashR,
@@ -761,3 +766,140 @@ class TestRaisingObserver:
                  metrics.crashes_t, metrics.crashes_r),
             ))
         assert views[0] == views[1]
+
+
+#: e2ebench ``link_campaign``'s random-fault profile.
+LINK_CAMPAIGN_PROFILE = FaultProfile(
+    loss=0.2, duplicate=0.05, reorder=0.1, crash_t=0.002, crash_r=0.002
+)
+
+
+def violation_lines(outcome):
+    """Every violation, spelled as ``execute_attempt`` ships them."""
+    return [
+        f"{v.condition}@{v.event_index}: {v.detail}"
+        for report in outcome.safety.all_reports
+        for v in report.violations
+    ]
+
+
+def checker_counts(outcome):
+    checks = outcome.result.checks
+    return (
+        checks.events_seen,
+        checks._timed_samples,
+        outcome.result.trace.total_events,
+    )
+
+
+class TestViolationIndicesWithSkippedPacketEvents:
+    """Failing verdict-only runs with the stabilization monitor on.
+
+    A precompiled mode emits no Corruption, so the kernel builds no packet
+    event that only the monitor's episode accounting would read; each one
+    still takes its index.  At epsilon = 1/2 the nonces are short enough
+    for Section 2.6 to fail, and every violation must name the object
+    engine's event index.
+    """
+
+    @pytest.mark.parametrize("seed", [2, 5, 9, 11])
+    @pytest.mark.parametrize("fair", [True, False], ids=["fair", "bare"])
+    def test_tiny_epsilon_link_campaign_profile(self, fair, seed):
+        outcomes = [
+            run_once(
+                build_spec(
+                    lambda: RandomFaultAdversary(LINK_CAMPAIGN_PROFILE),
+                    engine,
+                    epsilon=0.5,
+                    messages=40,
+                    retain="none",
+                    stabilization=True,
+                    enforce_fairness=fair,
+                    max_steps=30_000,
+                ),
+                seed,
+            )
+            for engine in ENGINES
+        ]
+        obj, ker = outcomes
+        assert violation_lines(obj), "the case must violate Section 2.6"
+        assert violation_lines(ker) == violation_lines(obj)
+        assert checker_counts(ker) == checker_counts(obj)
+        assert stabilization_key(ker.stabilization) == stabilization_key(
+            obj.stabilization
+        )
+
+
+class _EpisodeOnlyPackets(StreamMonitor):
+    """Counts the packet events it declares episode-only."""
+
+    condition = "episode-only-packets"
+    episode_only = (PktSent, PktDelivered)
+
+    def __init__(self):
+        self.calls = 0
+
+    def handlers(self):
+        return {PktSent: self._count, PktDelivered: self._count}
+
+    def _count(self, index, event):
+        self.calls += 1
+
+    def report(self):
+        return CheckReport(condition=self.condition, trials=self.calls)
+
+    def reset(self):
+        self.calls = 0
+
+
+class TestEpisodeOnlyDispatch:
+    """Which engines skip the handlers a monitor declares episode-only:
+    only the kernel's precompiled modes, which emit no Corruption."""
+
+    def _run(self, adversary, engine, seed=3):
+        # The liveness monitor observes the five classes every run records,
+        # which the kernel's direct dispatch needs.
+        spy = _EpisodeOnlyPackets()
+        checks = StreamingChecks(
+            monitors=[LivenessMonitor(), spy], timed=True
+        )
+        simulator = Simulator(
+            make_data_link(epsilon=2.0 ** -8, seed=seed),
+            adversary,
+            SequentialWorkload(25),
+            seed=seed,
+            retain="none",
+            checks=checks,
+            engine=engine,
+        )
+        result = simulator.run()
+        trace = result.trace
+        counts = (
+            checks.events_seen,
+            checks._timed_samples,
+            trace.total_events,
+            trace.packets_sent(),
+            trace.packets_delivered(),
+        )
+        return spy.calls, trace.packets_sent() + trace.packets_delivered(), counts
+
+    def test_precompiled_kernel_skips_them(self):
+        calls, packets, counts = self._run(
+            RandomFaultAdversary(LINK_CAMPAIGN_PROFILE), "kernel"
+        )
+        assert packets > 0
+        assert calls == 0
+        obj_calls, obj_packets, obj_counts = self._run(
+            RandomFaultAdversary(LINK_CAMPAIGN_PROFILE), "object"
+        )
+        assert obj_calls == obj_packets == packets
+        assert obj_counts == counts
+
+    def test_generic_kernel_dispatches_them(self):
+        calls, packets, counts = self._run(
+            DelayedFifoAdversary(delay_turns=2), "kernel"
+        )
+        assert calls == packets > 0
+        assert counts == self._run(
+            DelayedFifoAdversary(delay_turns=2), "object"
+        )[2]
