@@ -24,7 +24,7 @@ The subcommands cover the common workflows::
     python -m repro live --messages 30 --corrupt T@12,R@30
 
     python -m repro bench --out BENCH_core.json
-    python -m repro bench --quick --check BENCH_core.json
+    python -m repro bench --quick
 
 ``simulate`` runs one execution of ``D(A, ADV)`` and prints metrics plus
 the Section 2.6 checker verdicts; ``attack`` stages the Section 3
@@ -35,8 +35,7 @@ fault-tolerant Monte-Carlo campaign with scripted fault injection and
 failure forensics; ``shrink`` minimizes an archived failing repro;
 ``live`` deploys the stations as real asyncio UDP endpoints behind the
 chaos proxy (docs/PROTOCOL.md §11); ``bench`` runs the engine
-performance suite and enforces the regression gate against a committed
-baseline.
+performance suite and holds every ratio it measured to its floor.
 """
 
 from __future__ import annotations
@@ -54,10 +53,8 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
 from repro.perf.bench import (
     BENCH_GROUPS,
-    _floor_failures,
-    compare_payloads,
+    check_regression,
     dump,
-    load,
     run_bench,
 )
 from repro.sim.runner import RunSpec, monte_carlo
@@ -260,16 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the engine perf suite; write/check BENCH_core.json",
+        help="run the engine perf suite and gate its ratios on their floors",
     )
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads and run counts (CI smoke)")
     bench.add_argument("--out", default=None,
                        help="write the benchmark payload JSON here")
-    bench.add_argument("--check", default=None,
-                       help="baseline BENCH_core.json to gate against")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="allowed relative drop in the gated ratios")
     bench.add_argument("--base-seed", type=int, default=0)
     bench.add_argument("--only", choices=BENCH_GROUPS,
                        default="all",
@@ -703,8 +696,6 @@ def _render_kernel_table(kernel: dict) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
     payload = run_bench(quick=args.quick, base_seed=args.base_seed, only=args.only)
     results = payload["results"]
     if "live" in results:
@@ -771,49 +762,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         title="gated ratios (within-run engine comparisons)",
     ))
     if args.out:
-        existing = None
-        if args.quick and os.path.exists(args.out):
-            try:
-                existing = load(args.out)
-            except (OSError, ValueError):
-                existing = None
-        if existing is not None and not existing.get("quick", True):
-            # A quick run must never clobber a committed full-run
-            # baseline: the full ratios stay authoritative and the quick
-            # payload rides along under its own key.
-            existing["quick_smoke"] = payload
-            dump(existing, args.out)
-            print(
-                f"\nquick payload merged into {args.out} under "
-                f"'quick_smoke' (full-run baseline preserved)"
-            )
-        else:
-            dump(payload, args.out)
-            print(f"\nbenchmark payload written to {args.out}")
-    if args.check:
-        try:
-            baseline = load(args.check)
-        except OSError as error:
-            raise SystemExit(
-                f"cannot read baseline {args.check!r}: {error.strerror}"
-            )
-        failures, warnings = compare_payloads(
-            payload, baseline, threshold=args.threshold
-        )
-        for warning in warnings:
-            print(f"WARNING {warning}")
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
-        print(f"regression gate passed (threshold {args.threshold:.0%})")
-    else:
-        # Absolute floors gate even without a baseline to compare against.
-        failures = _floor_failures(payload)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION {failure}")
-            return 1
+        dump(payload, args.out)
+        print(f"\nbenchmark payload written to {args.out}")
+    failures = check_regression(payload)
+    for failure in failures:
+        print(f"REGRESSION {failure}")
+    if failures:
+        return 1
+    print("regression gate passed: every measured ratio clears its floor")
     return 0
 
 

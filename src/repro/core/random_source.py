@@ -26,22 +26,21 @@ __all__ = ["RandomSource", "split_seed"]
 
 
 # repr()+encode() of the label tokens is a measurable share of split_seed
-# when campaigns derive seeds for every component of every run; labels come
-# from a small fixed vocabulary, so their byte forms are cached.  Keyed by
-# (type, value) because repr(1) == repr(True) must not collide with "1".
+# when campaigns derive seeds for every component of every run; string
+# labels come from a small fixed vocabulary, so their byte forms are
+# cached.  Every other token (run indices, lane numbers, tuples) is
+# encoded on each call: indices are unbounded and would fill the cache.
 _TOKEN_BYTES: dict = {}
 
 
 def _token_bytes(token: object) -> bytes:
-    key = (type(token), token)
-    try:
-        data = _TOKEN_BYTES.get(key)
-    except TypeError:  # unhashable token: derive directly
+    if type(token) is not str:
         return repr(token).encode("utf-8")
+    data = _TOKEN_BYTES.get(token)
     if data is None:
         data = repr(token).encode("utf-8")
         if len(_TOKEN_BYTES) < 4096:  # labels are few; seeds must not pile up
-            _TOKEN_BYTES[key] = data
+            _TOKEN_BYTES[token] = data
     return data
 
 
@@ -168,40 +167,20 @@ class RandomSource:
         """Shuffle a list in place."""
         self._rng.shuffle(items)
 
-    def geometric(self, probability: float) -> int:
-        """Number of Bernoulli(p) trials up to and including the first success.
-
-        Draws one uniform per trial, so a tape that interleaved per-trial
-        coin flips with other draws replays unchanged.  New code that does
-        not need tape-compatibility with old seeds should prefer
-        :meth:`geometric_fast`.
-        """
-        if not 0.0 < probability <= 1.0:
-            raise ValueError("probability must be in (0, 1]")
-        count = 1
-        while not self.bernoulli(probability):
-            count += 1
-        return count
-
     def geometric_fast(self, probability: float) -> int:
         """Geometric(p) trial count from a single inverse-CDF draw.
 
-        Same distribution as :meth:`geometric` — ``P(X = k) = (1-p)^(k-1) p``
-        — but always exactly one uniform draw, however small ``p`` is.  The
-        closed form ``⌊ln(U) / ln(1-p)⌋ + 1`` maps a uniform ``U ∈ (0, 1]``
-        through the inverse CDF, so a ``geometric(0.01)`` that used to cost
-        ~100 Bernoulli trials costs one draw.
-
-        **Tape note:** the draw *count* differs from :meth:`geometric` (one
-        vs one-per-trial) and the draw→value mapping differs even when the
-        counts coincide, so switching a consumer changes every schedule
-        derived from its seed.  Adopt it only where old-seed compatibility
-        is not a contract (documented at each adoption site).
+        The number of Bernoulli(p) trials up to and including the first
+        success, ``P(X = k) = (1-p)^(k-1) p``, from exactly one uniform
+        draw however small ``p`` is: the closed form
+        ``⌊ln(U) / ln(1-p)⌋ + 1`` maps a uniform ``U ∈ (0, 1]`` through
+        the inverse CDF, so a mean of ~100 trials at ``p = 0.01`` still
+        costs one draw.
         """
         if not 0.0 < probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         # Consume a draw even for p=1 so the p→1 limit keeps draw parity
-        # with every other probability (and with geometric(1.0)).
+        # with every other probability.
         u = 1.0 - self.random_float()  # uniform in (0, 1]
         if probability == 1.0:
             return 1

@@ -1,4 +1,4 @@
-"""Performance harness: benchmarks and the BENCH_core.json regression gate."""
+"""Performance harness: benchmarks and the floors that gate their ratios."""
 
 from repro.perf.bench import (
     SEED_BASELINE,

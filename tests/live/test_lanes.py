@@ -57,6 +57,7 @@ from repro.resilience.faultplan import (
     CrashAt,
     DropWindow,
     FaultPlan,
+    HangAt,
     StallWindow,
 )
 
@@ -269,6 +270,33 @@ def test_scripted_events_fire_on_the_first_and_last_turn_of_the_span():
     assert proxy.stats.dropped == 2
 
 
+def test_a_finite_hang_forwards_everything_it_held_when_it_ends():
+    # The pause ends on its own timer while no further datagram arrives to
+    # wake the proxy: everything held since turn 2 must leave then, each
+    # datagram out of the socket facing its destination.
+    frames = [_data_frame(turn) for turn in range(1, 5)]
+    poll = encode_lane_frame(0, encode_packet(
+        PollPacket(rho=BitString("01"), tau=BitString("1"), retry=1)
+    ))
+
+    async def _run():
+        proxy = _wired_proxy(plan=FaultPlan.of(HangAt(step=2, seconds=0.05)))
+        for frame in frames:
+            proxy._on_datagram(ChannelId.T_TO_R, frame)
+        proxy._on_datagram(ChannelId.R_TO_T, poll)
+        assert proxy._r_io.sent == frames[:1]
+        assert proxy._t_io.sent == []
+        # Timers fire in deadline order, so the release runs first.
+        await asyncio.sleep(0.2)
+        return proxy
+
+    proxy = asyncio.run(_run())
+    assert proxy._r_io.sent == frames
+    assert proxy._t_io.sent == [poll]
+    assert proxy.stats.stalled == 4 and proxy.stats.forwarded == 5
+    assert proxy.pending_timer_count == 0
+
+
 # -- slot queue: a dead lane strands nothing ---------------------------------------
 
 
@@ -430,14 +458,19 @@ def test_lane_crash_cancels_only_that_lanes_timers():
 def test_a_due_poll_leaves_at_its_deadline():
     # Nothing answers the polls, so the lane's chain runs on its timer
     # alone: each poll must reach the wire no earlier than the deadline the
-    # previous one set, and well before the one after.
+    # previous one set, and before the next deadline comes due.  A
+    # reference callback is scheduled for every deadline the poll timer is
+    # armed for, and the arrivals are ordered against those callbacks
+    # rather than bounded in wall-clock time, so a loaded host that delays
+    # the loop delays both alike.
     base = 0.05
     policy = BackoffPolicy(base=base, factor=1.0, cap=base, jitter=0.0)
 
     async def _run():
         loop = asyncio.get_running_loop()
-        arrived = []
-        sink = BatchedDatagramIO(lambda view: arrived.append(loop.time()))
+        timeline = []  # "landed" and "due", in the order they happen
+        deadlines, references = [], []
+        sink = BatchedDatagramIO(lambda view: timeline.append("landed"))
         await sink.open()
         log = _StampedLog()
         rm = LanedReceiverEndpoint(
@@ -445,24 +478,40 @@ def test_a_due_poll_leaves_at_its_deadline():
             sink.local_address,
             [AdaptiveBackoff(policy, RandomSource(4).fork("poll"))],
         )
+        arm = rm._arm_poll_timer
+
+        def arm_with_reference(when):
+            arm(when)
+            deadlines.append(when)
+            references.append(loop.call_at(when, timeline.append, "due"))
+
+        rm._arm_poll_timer = arm_with_reference
         try:
             await rm.start()
             for _ in range(100):
                 await asyncio.sleep(0.01)
-                if len(arrived) >= 5:
+                if len(log.polled_at) >= 5:
                     break
             assert rm.pending_timer_count == 1
         finally:
             rm.close()
             sink.close()
+            for handle in references:
+                handle.cancel()
         assert rm.pending_timer_count == 0
-        return log.polled_at, arrived
+        return log.polled_at, deadlines, timeline
 
-    polled_at, arrived = asyncio.run(_run())
-    assert len(arrived) >= 5
-    for sent, due_from, landed in zip(polled_at[1:], polled_at, arrived[1:]):
-        assert sent >= due_from + base - 1e-3
-        assert landed - due_from < 2 * base
+    polled_at, deadlines, timeline = asyncio.run(_run())
+    assert len(polled_at) >= 5
+    # No poll leaves before its deadline (a loop may run a timer up to a
+    # clock tick early).
+    for sent, deadline in zip(polled_at[1:], deadlines):
+        assert sent >= deadline - 1e-3
+    # The start poll lands first; after it, every deadline's reference
+    # fires before its poll lands, and that poll lands before the next
+    # deadline's reference fires.
+    assert timeline == (["landed", "due"] * len(timeline))[: len(timeline)]
+    assert timeline.count("landed") >= 4
 
 
 def test_laned_endpoint_counts_foreign_and_malformed_traffic():

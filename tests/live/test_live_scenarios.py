@@ -245,6 +245,32 @@ def test_no_timer_outlives_the_scenario(profile, plan):
     assert report.proxy.reordered or report.proxy.stalled
 
 
+def test_a_finite_hang_mid_stream_ends_clean():
+    # The link goes silent for 0.3 s mid-stream and comes back on the
+    # proxy's own timer: the stream still arrives whole and in order, and
+    # teardown leaves no pooled buffer out and no timer scheduled.
+    messages = 16
+
+    async def _run():
+        report = await run_live_scenario_async(LiveScenario(
+            messages=messages, seed=12, lanes=2,
+            plan=FaultPlan.of(HangAt(step=20, seconds=0.3)),
+            poll=_FAST_POLL, budget=20.0, give_up_idle=3.0,
+            label="finite-hang",
+        ))
+        loop = asyncio.get_running_loop()
+        return report, [h for h in loop._scheduled if not h.cancelled()]
+
+    report, live = asyncio.run(_run())
+    assert report.status is LiveStatus.DELIVERED, report.reason
+    assert report.ok
+    assert report.proxy.stalled > 0  # the hang held traffic
+    assert report.delivered_stream == [b"live-%05d" % i for i in range(messages)]
+    assert report.in_order_delivered == messages
+    assert report.pool_outstanding == 0
+    assert live == []
+
+
 # -- self-stabilizing mode (docs/PROTOCOL.md §13) -----------------------------------
 
 

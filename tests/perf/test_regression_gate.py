@@ -2,54 +2,45 @@
 
 The gate's arithmetic must be exact and boring: everything here runs on
 hand-built payload dicts, so the tests are immune to host speed.  The
-actual measured numbers live in the committed ``BENCH_core.json``; the CI
-smoke job exercises the real ``repro bench --quick --check`` path.
+recorded full-run numbers live in the committed ``BENCH_core.json``; the
+CI bench job exercises the real ``repro bench --quick`` path.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 from itertools import cycle
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.perf import bench
 from repro.perf.bench import (
-    _GATE_KEYS,
+    _GATE_FLOORS,
     SEED_BASELINE,
     SEED_COMPARISON,
     check_regression,
-    compare_payloads,
     dump,
     gate_ratios,
-    hosts_match,
     load,
 )
 
-
-def payload_with_ratios(**ratios) -> dict:
-    return {"ratios": dict(ratios)}
-
-
-def full_ratios(value: float) -> dict:
-    # The gate with the default threshold and no absolute floor, so the
-    # arithmetic below is the relative check's alone.
-    return payload_with_ratios(stabilization_overhead=value)
+#: Every leg of the table, as the keys of a payload's ``results``.
+ALL_LEGS = {name: {} for name, __, __, __ in bench._LEGS}
 
 
-GATED = len(full_ratios(1.0)["ratios"])
-
-
-def test_gate_ratios_from_results():
-    results = {
+def full_results() -> dict:
+    return {
         "live": {
             "lanes_1": {"messages_per_second": 100.0},
             "lanes_8": {"messages_per_second": 550.0},
         },
         "stabilization": {
             "plain": {"steps_per_second": 200.0},
-            "monitored": {"steps_per_second": 160.0},
+            "monitored": {"steps_per_second": 160.0,
+                          "overhead_median": 0.8},
         },
         "kernel": {
             "reliable": {"steps_speedup_median": 6.0},
@@ -63,7 +54,10 @@ def test_gate_ratios_from_results():
         "relay_kernel": {"kernel": {"speedup_median": 4.4}},
         "relay_stripe": {"paths_1": {"ticks": 90}, "paths_2": {"ticks": 50}},
     }
-    ratios = gate_ratios(results)
+
+
+def test_gate_ratios_from_results():
+    ratios = gate_ratios(full_results())
     assert ratios == {
         "live_lane_speedup": pytest.approx(5.5),
         "stabilization_overhead": pytest.approx(0.8),
@@ -73,18 +67,19 @@ def test_gate_ratios_from_results():
         "relay_kernel_speedup": pytest.approx(4.4),
         "relay_stripe_speedup": pytest.approx(1.8),
     }
-    assert set(ratios) == set(_GATE_KEYS)
+    # One floor per ratio a full run measures, and each leg names the
+    # ratios it yields.
+    assert set(ratios) == set(_GATE_FLOORS)
+    for name, __, gated, __ in bench._LEGS:
+        assert set(gate_ratios({name: full_results()[name]})) == set(gated)
 
 
 def test_gate_ratios_skip_absent_legs():
-    # A payload without some legs (an --only run, or one predating a leg)
-    # still produces the other ratios instead of KeyError-ing, and so does
-    # a relay leg recorded before it took paired medians.
+    # A payload without some legs (an --only run) still produces the
+    # other ratios instead of KeyError-ing, and a leg recorded without its
+    # paired median produces no ratio, which the gate then fails.
     results = {
-        "stabilization": {
-            "plain": {"steps_per_second": 200.0},
-            "monitored": {"steps_per_second": 160.0},
-        },
+        "stabilization": full_results()["stabilization"],
         "relay": {
             "line_1": {"messages_per_second": 400.0, "hops": 1},
             "line_4": {"messages_per_second": 120.0, "hops": 4},
@@ -92,6 +87,49 @@ def test_gate_ratios_skip_absent_legs():
     }
     ratios = gate_ratios(results)
     assert ratios == {"stabilization_overhead": pytest.approx(0.8)}
+    assert check_regression({"results": results, "ratios": ratios}) == [
+        "relay_hop_efficiency: missing, although the relay leg ran"
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(_GATE_FLOORS))
+def test_each_ratio_fails_just_below_its_floor(key):
+    at_floor = {"results": ALL_LEGS, "ratios": dict(_GATE_FLOORS)}
+    assert check_regression(at_floor) == []
+    below = dict(_GATE_FLOORS)
+    below[key] = math.nextafter(_GATE_FLOORS[key], 0.0)
+    failures = check_regression({"results": ALL_LEGS, "ratios": below})
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{key}: ") and "fell below" in failures[0]
+    missing = dict(_GATE_FLOORS)
+    del missing[key]
+    failures = check_regression({"results": ALL_LEGS, "ratios": missing})
+    assert len(failures) == 1
+    assert failures[0].startswith(f"{key}: missing")
+
+
+@pytest.mark.parametrize("only", ["kernel", "relay"])
+def test_a_group_gates_only_the_ratios_of_its_legs(only):
+    ran = {
+        name: {} for name, group, __, __ in bench._LEGS if group == only
+    }
+    gated = {
+        key
+        for name, group, keys, __ in bench._LEGS
+        if group == only
+        for key in keys
+    }
+    # Every other ratio may be missing or below its floor: those legs did
+    # not run, so they gate nothing.
+    ratios = {key: 0.0 for key in _GATE_FLOORS if key not in gated}
+    ratios.update({key: _GATE_FLOORS[key] for key in gated})
+    assert check_regression({"results": ran, "ratios": ratios}) == []
+    assert check_regression({"results": ran, "ratios": {}}) == [
+        f"{key}: missing, although the {name} leg ran"
+        for name, group, keys, __ in bench._LEGS
+        if group == only
+        for key in keys
+    ]
 
 
 def test_run_bench_builds_every_only_choice_from_the_leg_table(monkeypatch):
@@ -169,123 +207,66 @@ def test_relay_hop_efficiency_is_four_times_the_median_pair_ratio(monkeypatch):
     assert stats["line_4"]["ticks"] == 40
 
 
-def test_check_regression_passes_within_threshold():
-    baseline = full_ratios(1.4)
-    # 25% below 1.4 is 1.05; anything at or above passes.
-    assert check_regression(full_ratios(1.4), baseline) == []
-    assert check_regression(full_ratios(1.06), baseline) == []
-    assert check_regression(full_ratios(2.0), baseline) == []
+def test_stabilization_overhead_is_the_median_plain_over_monitored_wall(
+    monkeypatch,
+):
+    # A fake clock: a plain run lasts 1.0 s and a monitored one 1.25 s,
+    # so the monitored variant runs at 0.8 of plain throughput.
+    clock = [0.0]
+    steps = {False: 100, True: 100}
+    corruptions = [2]
 
+    def fake_run_once(spec, seed):
+        clock[0] += 1.25 if spec.stabilization else 1.0
+        return SimpleNamespace(result=SimpleNamespace(
+            steps=steps[spec.stabilization],
+            trace=SimpleNamespace(total_events=7),
+            metrics=SimpleNamespace(
+                corruptions_t=corruptions[0], corruptions_r=0
+            ),
+        ))
 
-def test_check_regression_flags_a_drop():
-    failures = check_regression(full_ratios(1.0), full_ratios(1.4))
-    assert len(failures) == GATED
-    assert all("fell below" in failure for failure in failures)
-
-
-def test_check_regression_flags_missing_current_ratio():
-    current = payload_with_ratios(live_lane_speedup=1.4)
-    failures = check_regression(current, full_ratios(1.4))
-    assert any("missing" in failure for failure in failures)
-
-
-def test_check_regression_skips_ratios_absent_from_baseline():
-    # Forward compatibility: an old baseline without a key gates nothing.
-    assert check_regression(full_ratios(1.4), payload_with_ratios()) == []
-
-
-def test_check_regression_threshold_validation():
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            check_regression(full_ratios(1.0), full_ratios(1.0), threshold=bad)
-
-
-def test_absolute_floor_fails_even_with_matching_baseline():
-    # kernel_steps_speedup carries a machine-independent floor of 5.0: a
-    # baseline recorded at the same low value cannot launder it through
-    # the relative check.
-    low = payload_with_ratios(kernel_steps_speedup=4.0)
-    failures = check_regression(low, low)
-    assert len(failures) == 1
-    assert "absolute floor" in failures[0]
-
-
-def test_absolute_floor_passes_at_or_above():
-    ok = payload_with_ratios(
-        kernel_steps_speedup=5.0, kernel_steps_speedup_lossy=3.0
-    )
-    assert check_regression(ok, ok) == []
-
-
-def test_floor_not_enforced_when_key_absent():
-    # Pre-kernel payloads (no kernel keys at all) still gate cleanly.
-    assert check_regression(full_ratios(1.4), full_ratios(1.4)) == []
-
-
-def hosted(payload: dict, python: str = "3.12", platform: str = "linux") -> dict:
-    return {**payload, "host": {"python": python, "platform": platform}}
-
-
-def test_hosts_match_compares_recorded_hosts():
-    assert hosts_match(hosted({}), hosted({}))
-    assert not hosts_match(hosted({}), hosted({}, platform="darwin"))
-    # A payload predating host recording never matches: relative checks
-    # must not pretend the hosts are known-identical.
-    assert not hosts_match(hosted({}), {})
-
-
-def test_compare_payloads_same_host_keeps_failures():
-    baseline = hosted(full_ratios(1.4))
-    failures, warnings = compare_payloads(hosted(full_ratios(1.0)), baseline)
-    assert len(failures) == GATED
-    assert warnings == []
-
-
-def test_compare_payloads_cross_host_demotes_relative_to_warnings():
-    baseline = hosted(full_ratios(1.4))
-    current = hosted(full_ratios(1.0), platform="darwin")
-    failures, warnings = compare_payloads(current, baseline)
-    assert failures == []
-    # The demoted shortfalls plus one explanatory preamble.
-    assert len(warnings) == GATED + 1
-    assert "host" in warnings[0]
-
-
-def test_compare_payloads_cross_host_keeps_absolute_floors():
-    baseline = hosted(payload_with_ratios(kernel_steps_speedup=6.0))
-    current = hosted(
-        payload_with_ratios(kernel_steps_speedup=4.0), platform="darwin"
-    )
-    failures, warnings = compare_payloads(current, baseline)
-    assert len(failures) == 1
-    assert "absolute floor" in failures[0]
-    assert warnings  # the relative shortfall still surfaces as a warning
+    monkeypatch.setattr(bench, "run_once", fake_run_once)
+    monkeypatch.setattr(bench, "perf_counter", lambda: clock[0])
+    stats = bench._bench_stabilization(messages=5, runs=3, base_seed=0)
+    assert gate_ratios({"stabilization": stats}) == {
+        "stabilization_overhead": pytest.approx(0.8)
+    }
+    # The warm-up pair is left out of every total.
+    assert stats["plain"]["steps"] == stats["monitored"]["steps"] == 300
+    assert stats["plain"]["wall_seconds"] == pytest.approx(3.0)
+    assert stats["monitored"]["corruptions"] == 6
+    # Both variants must simulate the identical run ...
+    steps[True] = 101
+    with pytest.raises(RuntimeError, match="diverged"):
+        bench._bench_stabilization(messages=5, runs=3, base_seed=0)
+    # ... and the workload must corrupt, or the monitor idles.
+    steps[True] = 100
+    corruptions[0] = 0
+    with pytest.raises(RuntimeError, match="no corruptions"):
+        bench._bench_stabilization(messages=5, runs=3, base_seed=0)
 
 
 def test_dump_load_round_trip(tmp_path):
-    payload = full_ratios(1.23)
+    payload = {"ratios": {"stabilization_overhead": 1.23}}
     path = tmp_path / "bench.json"
     dump(payload, str(path))
     assert load(str(path)) == payload
 
 
-def test_committed_bench_core_passes_its_own_gate():
-    # The committed baseline must be self-consistent: its ratios compared
-    # against itself always pass, and they are exactly the gated keys — a
-    # retired gate's ratio left behind fails here, as does a gate with no
-    # baseline.
+def test_committed_bench_core_is_one_full_run_that_clears_every_floor():
+    # The committed payload is a full run (never a quick one written over
+    # it), it clears every floor, and its ratios are exactly the gated
+    # keys: a retired ratio left behind fails here, as does a floor that
+    # no leg measures.
     baseline = load(str(Path(__file__).resolve().parents[2] / "BENCH_core.json"))
-    assert check_regression(baseline, baseline) == []
-    assert set(baseline["ratios"]) == set(_GATE_KEYS)
-    # It records exactly the legs of the table and the sizes they read.
-    assert set(baseline["results"]) == {name for name, _, _ in bench._LEGS}
-    assert set(baseline["config"]) == set(bench._SIZES[False]) | {"base_seed"}
-    # The step kernel's headline: the committed numbers clear the same
-    # absolute floors CI enforces, with the lossy leg above 3x.
-    assert baseline["ratios"]["kernel_steps_speedup"] >= 5.0
-    assert baseline["ratios"]["kernel_steps_speedup_lossy"] >= 3.0
-    # The baseline records its host so cross-host checks can demote
-    # baseline-relative failures to warnings.
+    assert baseline["quick"] is False
+    assert check_regression(baseline) == []
+    assert set(baseline["ratios"]) == set(_GATE_FLOORS)
+    # It records exactly the legs of the table and the sizes they read,
+    # on one host.
+    assert set(baseline["results"]) == set(ALL_LEGS)
+    assert baseline["config"] == {**bench._SIZES[False], "base_seed": 0}
     assert set(baseline["host"]) == {"python", "platform"}
 
 
@@ -317,11 +298,10 @@ def test_bench_cli_parser_accepts_the_documented_flags():
 
     parser = build_parser()
     args = parser.parse_args(
-        ["bench", "--quick", "--out", "x.json", "--check", "y.json",
-         "--threshold", "0.3", "--base-seed", "7", "--only", "kernel"]
+        ["bench", "--quick", "--out", "x.json", "--base-seed", "7",
+         "--only", "kernel"]
     )
     assert args.command == "bench"
-    assert args.quick and args.out == "x.json" and args.check == "y.json"
-    assert args.threshold == pytest.approx(0.3)
+    assert args.quick and args.out == "x.json"
     assert args.base_seed == 7
     assert args.only == "kernel"

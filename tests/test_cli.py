@@ -292,67 +292,71 @@ def _leg(**fields):
 
 
 @pytest.fixture
-def stub_relay_legs(monkeypatch):
-    """Replace the timed relay bench legs with fixed results.
+def stub_legs(monkeypatch):
+    """Replace the timed kernel and relay bench legs with fixed results.
 
-    The ``--out`` merge guard and the floor gate are pure payload logic;
-    the real legs time fabric runs, so a busy host could push
-    ``relay_kernel_speedup`` under its floor and fail a test that is not
-    about speed.  Returns the stubbed kernel leg so a test can lower its
-    speedup.
+    The gate is pure payload logic; the real legs time engine and fabric
+    runs, so a busy host could push a ratio under its floor and fail a
+    test that is not about speed.  Returns the stubbed legs by name so a
+    test can lower a speedup.
     """
     from repro.perf import bench
 
-    kernel = {"object": _leg(hops=4, pairs=5),
-              "kernel": _leg(hops=4, pairs=5, speedup_median=4.4)}
-    monkeypatch.setattr(bench, "_bench_relay", lambda messages, seed: {
-        "line_1": _leg(hops=1), "line_4": _leg(hops=4),
-    })
-    monkeypatch.setattr(bench, "_bench_relay_kernel",
-                        lambda messages, seed: kernel)
-    monkeypatch.setattr(bench, "_bench_relay_stripe", lambda messages, seed: {
-        "paths_1": _leg(paths=1, ticks=200), "paths_2": _leg(paths=2),
-    })
-    return kernel
+    speedups = {"steps_speedup_median": 6.0, "object_steps_per_second": 1e5,
+                "kernel_steps_per_second": 6e5}
+    legs = {
+        "kernel": {"reliable": dict(speedups),
+                   "lossy": {**speedups, "steps_speedup_median": 4.5}},
+        "relay": {"line_1": _leg(hops=1),
+                  "line_4": _leg(hops=4, efficiency_median=1.2)},
+        "relay_kernel": {"object": _leg(hops=4, pairs=5),
+                         "kernel": _leg(hops=4, pairs=5, speedup_median=4.4)},
+        "relay_stripe": {"paths_1": _leg(paths=1, ticks=200),
+                         "paths_2": _leg(paths=2)},
+    }
+    for name, stats in legs.items():
+        monkeypatch.setattr(bench, f"_bench_{name}",
+                            lambda *args, stats=stats: stats)
+    return legs
 
 
-class TestBenchQuickOutGuard:
-    def test_quick_does_not_clobber_full_baseline(
-        self, tmp_path, capsys, stub_relay_legs
+class TestBenchGate:
+    @pytest.mark.parametrize("only", ["kernel", "relay"])
+    def test_only_gates_and_writes_the_ratios_of_its_own_legs(
+        self, tmp_path, capsys, stub_legs, only
     ):
         import json
 
-        out_path = tmp_path / "BENCH.json"
-        # A committed full-run baseline (quick=false) with a ratio a
-        # quick re-record must not overwrite.
-        baseline = {"schema": 1, "quick": False,
-                    "ratios": {"relay_hop_efficiency": 1.23}}
-        out_path.write_text(json.dumps(baseline))
-        code = main([
-            "bench", "--only", "relay", "--quick", "--out", str(out_path),
-        ])
-        assert code == 0
-        assert "quick_smoke" in capsys.readouterr().out
-        merged = json.loads(out_path.read_text())
-        assert merged["quick"] is False
-        assert merged["ratios"] == {"relay_hop_efficiency": 1.23}
-        assert merged["quick_smoke"]["quick"] is True
-        assert "relay_kernel_speedup" in merged["quick_smoke"]["ratios"]
+        from repro.perf.bench import _LEGS
 
-    def test_quick_writes_fresh_file_directly(self, tmp_path, stub_relay_legs):
-        import json
-
+        # A full-run payload already at --out is replaced, not merged into.
         out_path = tmp_path / "BENCH.json"
-        code = main([
-            "bench", "--only", "relay", "--quick", "--out", str(out_path),
-        ])
+        out_path.write_text(json.dumps({"quick": False, "ratios": {}}))
+        code = main(["bench", "--only", only, "--quick", "--out", str(out_path)])
         assert code == 0
+        assert "regression gate passed" in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         assert payload["quick"] is True
-        assert "quick_smoke" not in payload
+        assert set(payload["ratios"]) == {
+            key for __, group, keys, __ in _LEGS if group == only
+            for key in keys
+        }
 
-    def test_leg_below_floor_fails_the_gate(self, capsys, stub_relay_legs):
-        stub_relay_legs["kernel"]["speedup_median"] = 3.9
-        code = main(["bench", "--only", "relay"])
+    @pytest.mark.parametrize(
+        "only, leg, side, field, gated",
+        [
+            ("relay", "relay_kernel", "kernel", "speedup_median",
+             "relay_kernel_speedup"),
+            ("kernel", "kernel", "lossy", "steps_speedup_median",
+             "kernel_steps_speedup_lossy"),
+        ],
+    )
+    def test_leg_below_floor_fails_the_gate(
+        self, capsys, stub_legs, only, leg, side, field, gated
+    ):
+        from repro.perf.bench import _GATE_FLOORS
+
+        stub_legs[leg][side][field] = _GATE_FLOORS[gated] - 0.01
+        code = main(["bench", "--only", only])
         assert code == 1
-        assert "REGRESSION relay_kernel_speedup" in capsys.readouterr().out
+        assert f"REGRESSION {gated}" in capsys.readouterr().out
