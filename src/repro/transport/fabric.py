@@ -87,11 +87,6 @@ def _encode_frame(kind: bytes, seq: int, uid: int) -> bytes:
     return b"%s:%d:%d" % (kind, seq, uid)
 
 
-def _decode_frame(payload: bytes) -> Tuple[bytes, int]:
-    kind, seq, _uid = payload.split(b":")
-    return kind, int(seq)
-
-
 class _LinkAdversary(Adversary):
     """A FIFO wire gated by the physical link's up/down state.
 
@@ -355,17 +350,9 @@ class FabricRun:
         # Every node forwards transit frames, the endpoints included: a
         # detour can hand a data frame back to the source or an ack to
         # the destination, which then relay it like any other node.
-        src, dst = self.network.source, self.network.destination
         self.queues: Dict[object, Deque[Tuple[bytes, int]]] = {
             node: deque() for node in self.network.nodes
         }
-        # Delivery drain plan: (delivered deque, lands-at-destination,
-        # lands-at-source, transit queue) per directed hop, so the
-        # per-tick drain is one flat scan with no node comparisons.
-        self._drain_plan: List[Tuple[Deque[bytes], bool, bool, Deque]] = [
-            (link.delivered, v == dst, v == src, self.queues[v])
-            for (u, v), link in self.links.items()
-        ]
 
         self._schedule = self._check_events(events)
 
@@ -373,7 +360,6 @@ class FabricRun:
         self._next_seq = 0
         self._base = 0  # lowest unacknowledged sequence number
         self._sent_at: Dict[int, int] = {}
-        self._rto_guard = 0  # lower bound on min(_sent_at.values())
         # Destination endpoint: dedup + resequencer + cumulative acks.
         self._reseq = Resequencer()
 
@@ -385,9 +371,18 @@ class FabricRun:
         self.ticks = 0
         self.completed = False
 
+        # The cached source→destination route with its successor and
+        # predecessor maps and its links, built once per route object
+        # (Network.route shares them) in _route_maps.
         self._route: Optional[List] = None
-        # This tick's up-set, read on the first route lookup that needs it.
+        self._succ: Dict[object, object] = {}
+        self._pred: Dict[object, object] = {}
+        self._route_links: List[LinkState] = []
+        self._route_maps: Dict[int, tuple] = {}
+        # This tick's up-set, read on the first route lookup that needs it,
+        # and whether this tick already found the source cut off.
         self._up_key: Optional[UpKey] = None
+        self._cut = False
 
     # -- fault-plan interpretation ----------------------------------------------------
 
@@ -417,30 +412,25 @@ class FabricRun:
                     )
         return schedule
 
-    def _apply_topology(self, tick: int) -> None:
-        """Markov dynamics, then scripted windows (down overrides up)."""
-        self.network.tick(self._rng)
+    def _apply_script(self, tick: int) -> None:
+        """The plan's topology events at ``tick``, after the Markov step:
+        scripted windows (down overrides up), relay crashes, route flaps."""
         schedule = self._schedule
+        link = self.network.link
         for window in schedule.up_windows:
             if window.start <= tick <= window.end:
-                self.network.link(*window.link).up = True
+                link(*window.link).up = True
         for window in schedule.down_windows:
-            state = self.network.link(*window.link)
+            state = link(*window.link)
             if window.start <= tick <= window.end:
                 state.up = False
             elif tick == window.end + 1:
                 state.up = True  # deterministic heal closes the partition
-        self._up_key = None
-        route = self._route
-        if route is not None and not self.network.path_up(route):
-            self._route = None
-            self.reroutes += 1
         for node in schedule.relay_crashes.get(tick, ()):
             self._crash_relay(node)
-        if tick in schedule.flaps:
-            if self._route is not None:
-                self.reroutes += 1
+        if tick in schedule.flaps and self._route is not None:
             self._route = None
+            self.reroutes += 1
 
     def _crash_relay(self, node: object) -> None:
         """Amnesia: wipe the relay queue and crash every adjacent station."""
@@ -462,27 +452,42 @@ class FabricRun:
             key = self._up_key = self.network.up_key()
         return self.network.route(origin, target, key)
 
-    def _ensure_route(self) -> Optional[List]:
-        # A cached route is always up here: link state only changes in
-        # _apply_topology, which runs first in the tick and drops any
-        # route with a downed edge, so no per-frame re-verification.
-        route = self._route
-        if route is None:
-            route = self._route = self._path(
-                self.network.source, self.network.destination
-            )
-        return route
-
     def _next_hop(self, node: object, toward_destination: bool) -> Optional[object]:
-        """The next node for a frame at ``node``, or None while partitioned."""
-        route = self._ensure_route()
-        if route is not None and node in route:
-            # Route edges are up by construction (see _ensure_route).
-            i = route.index(node)
-            if toward_destination and i + 1 < len(route):
-                return route[i + 1]
-            elif not toward_destination and i > 0:
-                return route[i - 1]
+        """The next node for a frame at ``node``, or None while partitioned.
+
+        A dropped route is fetched again on the first lookup that needs
+        it.  A cached route is always up: link state only changes at the
+        top of a tick, which drops any route with a downed link.  A source
+        found cut off stays cut off for the rest of the tick, so later
+        lookups skip the fetch.
+        """
+        route = self._route
+        if route is None and not self._cut:
+            route = self._path(self.network.source, self.network.destination)
+            if route is None:
+                self._cut = True
+            else:
+                maps = self._route_maps.get(id(route))
+                if maps is None:
+                    link = self.network.link
+                    maps = self._route_maps[id(route)] = (
+                        route,
+                        dict(zip(route, route[1:])),
+                        dict(zip(route[1:], route)),
+                        [link(a, b) for a, b in zip(route, route[1:])],
+                    )
+                self._route, self._succ, self._pred, self._route_links = maps
+        if route is None:
+            origin = (
+                self.network.source if toward_destination
+                else self.network.destination
+            )
+            if node == origin:
+                return None  # the cut separates the two endpoints both ways
+        else:
+            hop = (self._succ if toward_destination else self._pred).get(node)
+            if hop is not None:
+                return hop
         # Off the main route (it changed underneath a queued frame): detour
         # along the shortest up path from here.
         target = (
@@ -506,48 +511,6 @@ class FabricRun:
             return first
         return self._next_hop(self.network.source, toward_destination=True)
 
-    def _source_phase(self, tick: int) -> None:
-        spec = self.spec
-        src = self.network.source
-        links = self.links
-        striped = self._stripes is not None
-        # Unstriped, the route is read at the top of every tick, sending or
-        # not: the cached route holds while it stays up, so the tick of
-        # that first read decides the path.
-        route_hop = None if striped else self._next_hop(src, toward_destination=True)
-        while (
-            self._next_seq < spec.messages
-            and self._next_seq - self._base < spec.window
-        ):
-            seq = self._next_seq
-            hop = self._stripe_hop(seq) if striped else route_hop
-            if hop is None:
-                return  # partitioned at the source; retry next tick
-            self.trace.append(make_send_msg(self._body(seq)))
-            links[(src, hop)].push_frame(DATA, seq)
-            self._sent_at[seq] = tick
-            self._next_seq += 1
-        # The guard is a lower bound on min(sent_at): the scan only runs
-        # when some frame could actually be due for retransmission.
-        if tick - self._rto_guard >= spec.rto:
-            sent_at = self._sent_at
-            for seq in range(self._base, self._next_seq):
-                if tick - sent_at[seq] >= spec.rto:
-                    hop = self._stripe_hop(seq) if striped else route_hop
-                    if hop is None:
-                        continue
-                    links[(src, hop)].push_frame(DATA, seq)
-                    sent_at[seq] = tick
-                    self.retransmits += 1
-            self._rto_guard = min(sent_at.values()) if sent_at else tick
-
-    def _source_ack(self, ack: int) -> None:
-        """Cumulative acknowledgement: every seq ≤ ack is resolved."""
-        while self._base <= ack:
-            self._sent_at.pop(self._base, None)
-            self.trace.append(OK)
-            self._base += 1
-
     @property
     def dup_drops(self) -> int:
         """Data frames the destination discarded as already delivered."""
@@ -566,94 +529,158 @@ class FabricRun:
         for released in self._reseq.accept(seq, body):
             self.trace.append(make_receive_msg(released))
 
-    def _destination_ack_phase(self) -> None:
-        delivered = self._reseq.next_expected
-        if delivered == 0:
-            return
-        hop = self._next_hop(self.network.destination, toward_destination=False)
-        if hop is None:
-            return
-        self.links[(self.network.destination, hop)].push_frame(
-            ACK, delivered - 1
-        )
-
-    # -- relays -----------------------------------------------------------------------
-
-    def _drain_deliveries(self) -> bool:
-        """Route every per-hop delivery to its node; True if data reached dst."""
-        data_arrived = False
-        queue_limit = self.spec.queue_limit
-        for delivered, at_dst, at_src, queue in self._drain_plan:
-            while delivered:
-                kind, seq = _decode_frame(delivered.popleft())
-                if at_dst and kind == DATA:
-                    self._destination_data(seq)
-                    data_arrived = True
-                elif at_src and kind == ACK:
-                    self._source_ack(seq)
-                elif len(queue) >= queue_limit:
-                    self.queue_drops += 1
-                else:
-                    queue.append((kind, seq))
-        return data_arrived
-
-    def _forward_phase(self) -> None:
-        stripe_next = self._stripe_next if self._stripes is not None else None
-        for node, queue in self.queues.items():
-            if not queue:
-                continue
-            kept: Deque[Tuple[bytes, int]] = deque()
-            while queue:
-                kind, seq = queue.popleft()
-                hop = None
-                if stripe_next is not None and kind == DATA:
-                    nxt = stripe_next.get(node)
-                    if nxt is not None and nxt[1].up:
-                        hop = nxt[0]
-                if hop is None:
-                    hop = self._next_hop(node, toward_destination=kind == DATA)
-                if hop is None:
-                    kept.append((kind, seq))
-                else:
-                    self.links[(node, hop)].push_frame(kind, seq)
-            queue.extend(kept)
-
     # -- drive ------------------------------------------------------------------------
 
     def run(self) -> RunOutcome:
         """Drive ticks until the stream is fully acknowledged or budget ends.
 
+        One loop runs every tick, with the run's hot state in its locals
+        (PROTOCOL.md §17).  A tick's phases, in order:
+
+        1. *topology*: the links' Markov step (:meth:`Network.tick`), then
+           the plan's events (:meth:`_apply_script`, entered only when the
+           plan has any), then the cached route is dropped if a link of it
+           went down;
+        2. *source*: new frames enter the window, then due frames are
+           retransmitted; a tick whose new frame has no first hop stops
+           there and skips the retransmission scan;
+        3. *hops*: each hop with work is ticked (:meth:`HopKernel.tick`, a
+           burst of ``steps_per_tick`` steps of its loop) and its
+           deliveries are drained at once: data into the destination's
+           resequencer, acks into the source window, the rest into the
+           node's bounded transit queue.  No hop reads fabric state, and
+           hops tick in ``links`` order, so this drains as a scan of every
+           hop after all of them ticked would;
+        4. *ack*: when data reached the destination, its cumulative ack;
+        5. *forward*: each node's queued frames go to their next hop, the
+           unroutable ones back into the queue in order.
+
         Each hop starts here (:meth:`_LinkSimulator.start`), after any
-        observer of a hop's trace is subscribed, and is then ticked once
-        per fabric tick while it has work: a burst of ``steps_per_tick``
-        steps, one resume of the hop's step loop (PROTOCOL.md §17).
+        observer of a hop's trace is subscribed.
         """
         spec = self.spec
         started = perf_counter()
-        hops = [link.start() for link in self.links.values()]
-        steps_per_tick = spec.steps_per_tick
+        messages, window, rto = spec.messages, spec.window, spec.rto
+        queue_limit, steps_per_tick = spec.queue_limit, spec.steps_per_tick
+        network = self.network
+        src, dst = network.source, network.destination
+        links = self.links
+        queues = self.queues
+        append = self.trace.append
+        reseq = self._reseq
+        sent_at = self._sent_at
+        stripes = self._stripes
+        stripe_next = self._stripe_next
+        scripted = bool(self._schedule.topology_events)
+        rng = self._rng
+        # Every hop with where its deliveries land: (hop, delivered deque,
+        # lands at the destination, lands at the source, transit queue).
+        hops = [
+            (link.start(), link.delivered, v == dst, v == src, queues[v])
+            for (u, v), link in links.items()
+        ]
+        queue_items = list(queues.items())
+        next_seq, base = self._next_seq, self._base
+        rto_guard = 0  # a lower bound on min(sent_at.values())
+        completed = False
         for tick in range(spec.max_ticks):
-            if self._base >= spec.messages:
-                self.completed = True
+            if base >= messages:
+                completed = True
                 break
             self.ticks = tick + 1
-            self._apply_topology(tick)
-            self._source_phase(tick)
-            # HopKernel.busy is what the hop's last resume reported;
-            # plain attribute reads beat a property call here.
-            for hop in hops:
-                if hop.busy or hop.feed:
-                    hop.tick(steps_per_tick)
-            if self._drain_deliveries():
-                self._destination_ack_phase()
-            self._forward_phase()
+
+            network.tick(rng)
+            if scripted:
+                self._apply_script(tick)
+            self._up_key = None
+            self._cut = False
+            if self._route is not None:
+                for state in self._route_links:
+                    if not state.up:
+                        self._route = None
+                        self.reroutes += 1
+                        break
+
+            # Unstriped, the route is read at the top of every tick, sending
+            # or not: the cached route holds while it stays up, so the tick
+            # of that first read decides the path.
+            if stripes is None:
+                route = self._route
+                src_hop = route[1] if route is not None else self._next_hop(src, True)
+            while next_seq < messages and next_seq - base < window:
+                hop = src_hop if stripes is None else self._stripe_hop(next_seq)
+                if hop is None:
+                    break  # partitioned at the source; retry next tick
+                append(make_send_msg(self._body(next_seq)))
+                links[src, hop].push_frame(DATA, next_seq)
+                sent_at[next_seq] = tick
+                next_seq += 1
+            else:
+                if tick - rto_guard >= rto:
+                    for seq in range(base, next_seq):
+                        if tick - sent_at[seq] >= rto:
+                            hop = src_hop if stripes is None else self._stripe_hop(seq)
+                            if hop is None:
+                                continue
+                            links[src, hop].push_frame(DATA, seq)
+                            sent_at[seq] = tick
+                            self.retransmits += 1
+                    rto_guard = min(sent_at.values()) if sent_at else tick
+
+            data_arrived = False
+            for hop, delivered, at_dst, at_src, queue in hops:
+                # HopKernel.busy is what the hop's last resume reported.
+                if not (hop.busy or hop.feed):
+                    continue
+                hop.tick(steps_per_tick)
+                while delivered:
+                    kind, seq, _uid = delivered.popleft().split(b":")
+                    seq = int(seq)
+                    if at_dst and kind == DATA:
+                        self._destination_data(seq)
+                        data_arrived = True
+                    elif at_src and kind == ACK:
+                        # Cumulative: every seq up to the ack is resolved.
+                        while base <= seq:
+                            sent_at.pop(base, None)
+                            append(OK)
+                            base += 1
+                    elif len(queue) >= queue_limit:
+                        self.queue_drops += 1
+                    else:
+                        queue.append((kind, seq))
+
+            if data_arrived and reseq.next_expected:
+                hop = self._next_hop(dst, False)
+                if hop is not None:
+                    links[dst, hop].push_frame(ACK, reseq.next_expected - 1)
+
+            for node, queue in queue_items:
+                if not queue:
+                    continue
+                for _ in range(len(queue)):
+                    frame = queue.popleft()
+                    kind, seq = frame
+                    hop = None
+                    if kind == DATA:
+                        nxt = stripe_next.get(node)
+                        if nxt is not None and nxt[1].up:
+                            hop = nxt[0]
+                    if hop is None:
+                        hop = self._next_hop(node, kind == DATA)
+                    if hop is None:
+                        queue.append(frame)
+                    else:
+                        links[node, hop].push_frame(kind, seq)
         else:
-            self.completed = self._base >= spec.messages
+            completed = base >= messages
+        self.completed = completed
+        self._next_seq, self._base = next_seq, base
         # Kernel hops hold their state in their loops' frames; settle
         # every hop's object graph before anything (metrics aggregation,
         # tests) reads stations, channels, wire queues or trace counters.
         # Counted inside the wall — it is part of the engine's cost.
-        for link in self.links.values():
+        for link in links.values():
             link.finalize_engine()
         wall = perf_counter() - started
         return self._outcome(wall)
