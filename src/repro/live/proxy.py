@@ -27,7 +27,8 @@ behaviour:
     ``mode: "wipe"`` is filed as a crash and fires the crash trigger —
     the live half of the wipe ≡ crash identity;
   - ``hang``  → the link goes silent for ``seconds`` of wall clock
-    (``null`` = until the scenario's give-up deadline fires);
+    (``null`` = until the scenario's give-up deadline fires); a later
+    hang replaces the pause, so an earlier one's release never ends it;
   - ``abort`` → the scenario is torn down (harness-failure drill).
 
 * a **stochastic** :class:`LinkProfile` — per-datagram drop, duplication,
@@ -304,11 +305,16 @@ class ChaosProxy(AuditedTimers):
             if seconds is None:
                 self._paused_until = float("inf")
             else:
-                now = asyncio.get_running_loop().time()
-                self._paused_until = now + seconds
-                self._call_later(seconds, self._release_pause)
+                deadline = asyncio.get_running_loop().time() + seconds
+                self._paused_until = deadline
+                self._call_at(deadline, self._release_pause, deadline)
 
-    def _release_pause(self) -> None:
+    def _release_pause(self, deadline: float) -> None:
+        """End the pause that ends at ``deadline``, unless a later hang
+        has set another since (an earlier finite hang must not cut a
+        later one short)."""
+        if self._paused_until != deadline:
+            return
         self._paused_until = None
         held, self._held = self._held, []
         for channel, data in held:

@@ -297,6 +297,55 @@ def test_a_finite_hang_forwards_everything_it_held_when_it_ends():
     assert proxy.pending_timer_count == 0
 
 
+def test_an_earlier_finite_hang_does_not_end_a_later_one():
+    # The turn-3 hang replaces the turn-2 pause and never ends: when the
+    # turn-2 hang's timer fires at 0.05 s, the link must stay silent.
+    frames = [_data_frame(turn) for turn in range(1, 5)]
+
+    async def _run():
+        proxy = _wired_proxy(plan=FaultPlan.of(
+            HangAt(step=2, seconds=0.05), HangAt(step=3, seconds=None),
+        ))
+        for frame in frames:
+            proxy._on_datagram(ChannelId.T_TO_R, frame)
+        await asyncio.sleep(0.2)
+        return proxy
+
+    proxy = asyncio.run(_run())
+    assert proxy._r_io.sent == frames[:1]
+    assert proxy._is_paused() and len(proxy._held) == 3
+    assert proxy.stats.stalled == 3 and proxy.stats.forwarded == 1
+    assert proxy.pending_timer_count == 0
+
+
+def test_a_later_shorter_hang_ends_the_pause_at_its_own_deadline():
+    # The turn-3 hang replaces the turn-2 pause: the link reopens 0.05 s
+    # after turn 3, not 0.4 s after turn 2, and the turn-2 hang's timer
+    # then finds nothing to release.
+    frames = [_data_frame(turn) for turn in range(1, 6)]
+
+    async def _run():
+        proxy = _wired_proxy(plan=FaultPlan.of(
+            HangAt(step=2, seconds=0.4), HangAt(step=3, seconds=0.05),
+        ))
+        for frame in frames[:4]:
+            proxy._on_datagram(ChannelId.T_TO_R, frame)
+        await asyncio.sleep(0.15)
+        released = list(proxy._r_io.sent)
+        proxy._on_datagram(ChannelId.T_TO_R, frames[4])
+        opened = list(proxy._r_io.sent)
+        await asyncio.sleep(0.4)
+        return proxy, released, opened
+
+    proxy, released, opened = asyncio.run(_run())
+    assert released == frames[:4]
+    assert opened == frames
+    assert proxy._r_io.sent == frames
+    assert not proxy._is_paused() and proxy._held == []
+    assert proxy.stats.stalled == 3 and proxy.stats.forwarded == 5
+    assert proxy.pending_timer_count == 0
+
+
 # -- slot queue: a dead lane strands nothing ---------------------------------------
 
 
