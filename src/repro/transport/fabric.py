@@ -477,23 +477,17 @@ class FabricRun:
                         [link(a, b) for a, b in zip(route, route[1:])],
                     )
                 self._route, self._succ, self._pred, self._route_links = maps
-        if route is None:
-            origin = (
-                self.network.source if toward_destination
-                else self.network.destination
-            )
-            if node == origin:
-                return None  # the cut separates the two endpoints both ways
-        else:
+        if route is not None:
             hop = (self._succ if toward_destination else self._pred).get(node)
             if hop is not None:
                 return hop
         # Off the main route (it changed underneath a queued frame): detour
-        # along the shortest up path from here.
-        target = (
-            self.network.destination if toward_destination else self.network.source
-        )
-        if node == target:
+        # along the shortest up path from here.  A cut separates the two
+        # endpoints both ways, so neither needs a search then.
+        origin, target = self.network.source, self.network.destination
+        if not toward_destination:
+            origin, target = target, origin
+        if node == target or (route is None and node == origin):
             return None
         path = self._path(node, target)
         return None if path is None else path[1]
