@@ -371,9 +371,10 @@ class FabricRun:
         self.ticks = 0
         self.completed = False
 
-        # The cached source→destination route with its successor and
-        # predecessor maps and its links, built once per route object
-        # (Network.route shares them) in _route_maps.
+        # The cached source→destination route, with its successor and
+        # predecessor maps and its links' states.  Network.route hands out
+        # memoised paths, so _route_maps builds these once per path object,
+        # keyed by id (its entry keeps the path alive).
         self._route: Optional[List] = None
         self._succ: Dict[object, object] = {}
         self._pred: Dict[object, object] = {}
