@@ -577,10 +577,8 @@ class FabricRun:
         queue_items = list(queues.items())
         next_seq, base = self._next_seq, self._base
         rto_guard = 0  # a lower bound on min(sent_at.values())
-        completed = False
         for tick in range(spec.max_ticks):
             if base >= messages:
-                completed = True
                 break
             self.ticks = tick + 1
 
@@ -667,9 +665,7 @@ class FabricRun:
                         queue.append(frame)
                     else:
                         links[node, hop].push_frame(kind, seq)
-        else:
-            completed = base >= messages
-        self.completed = completed
+        self.completed = base >= messages
         self._next_seq, self._base = next_seq, base
         # Kernel hops hold their state in their loops' frames; settle
         # every hop's object graph before anything (metrics aggregation,
