@@ -12,14 +12,14 @@ loss rate and measure packets per delivered message.  Claims reproduced:
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import campaign, emit
 
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.analysis.bounds import expected_handshake_packets
 from repro.baselines.alternating_bit import make_abp_link
 from repro.baselines.stop_and_wait import make_stop_and_wait_link
 from repro.core.protocol import make_data_link
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -47,10 +47,10 @@ def cost_at(factory, loss):
         # The kernel runs only the GHM stations.
         engine="object",
     )
-    mc = monte_carlo(spec, runs=RUNS, base_seed=int(loss * 100))
-    assert mc.completion_rate == 1.0, f"incomplete at loss={loss}"
-    assert not mc.any_safety_violation, f"violations at loss={loss} (FIFO+loss!)"
-    return mc.mean_packets_per_message
+    pooled = campaign(spec, RUNS, int(loss * 100))
+    assert pooled.completion_rate == 1.0, f"incomplete at loss={loss}"
+    assert not pooled.any_safety_violation, f"violations at loss={loss} (FIFO+loss!)"
+    return pooled.mean_packets_per_message
 
 
 def run_experiment():

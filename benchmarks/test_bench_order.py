@@ -9,7 +9,7 @@ Wilson interval's lower bound consistent with ε.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import campaign, emit
 
 from repro.adversary.composite import MixtureAdversary
 from repro.adversary.random_faults import (
@@ -18,7 +18,7 @@ from repro.adversary.random_faults import (
     RandomFaultAdversary,
 )
 from repro.core.protocol import make_data_link
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -60,8 +60,8 @@ def run_experiment():
             workload_factory=lambda seed: SequentialWorkload(MESSAGES),
             max_steps=60_000,
         )
-        mc = monte_carlo(spec, runs=RUNS_PER_POINT, base_seed=index)
-        rate = mc.order_violation_rate
+        pooled = campaign(spec, RUNS_PER_POINT, index)
+        rate = pooled.order_violation_rate
         rows.append(
             [
                 eps,
@@ -70,7 +70,7 @@ def run_experiment():
                 rate.point,
                 rate.high,
                 rate.consistent_with_bound(eps),
-                mc.completion_rate,
+                pooled.completion_rate,
             ]
         )
     return rows

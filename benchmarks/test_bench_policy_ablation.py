@@ -9,7 +9,7 @@ the aggressive policy buys fewer extensions with longer nonces.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import campaign, emit
 
 from repro.adversary.random_faults import DuplicateFloodAdversary
 from repro.core.params import (
@@ -19,7 +19,7 @@ from repro.core.params import (
     SoundPolicy,
 )
 from repro.core.protocol import make_data_link
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -40,23 +40,23 @@ def run_policy(policy: SizeBoundPolicy):
         max_steps=100_000,
         retry_every=32,  # poll rate below the flooded channel's capacity
     )
-    mc = monte_carlo(spec, runs=RUNS, base_seed=7)
+    pooled = campaign(spec, RUNS, 7)
     extensions = sum(
-        o.metrics.receiver_extensions + o.metrics.transmitter_extensions
-        for o in mc.outcomes
+        r.metrics.receiver_extensions + r.metrics.transmitter_extensions
+        for r in pooled.reports
     )
-    bits = sum(o.metrics.bits_sent for o in mc.outcomes) / sum(
-        max(o.metrics.messages_ok, 1) for o in mc.outcomes
+    bits = sum(r.metrics.bits_sent for r in pooled.reports) / sum(
+        max(r.metrics.messages_ok, 1) for r in pooled.reports
     )
     return [
         policy.name,
         policy.is_sound(EPSILON),
         policy.size(1, EPSILON),
         extensions / RUNS,
-        mc.mean_storage_peak_bits,
+        pooled.mean_storage_peak_bits,
         bits,
-        mc.any_safety_violation,
-        mc.completion_rate,
+        pooled.any_safety_violation,
+        pooled.completion_rate,
     ]
 
 

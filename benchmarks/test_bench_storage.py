@@ -14,13 +14,13 @@ measurements:
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import campaign, emit
 
 from repro.adversary.random_faults import DuplicateFloodAdversary, FaultProfile, RandomFaultAdversary
 from repro.analysis.bounds import nonce_bits_after_errors
 from repro.core.params import SoundPolicy
 from repro.core.protocol import make_data_link
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -29,15 +29,15 @@ FLOODS = [0.0, 0.4, 0.8, 0.95]
 RUNS_PER_POINT = 12
 
 
-def _half_peaks(mc, half):
+def _half_peaks(pooled, half):
     """Mean over runs of the peak footprint within one half of the run."""
     totals = 0.0
-    for outcome in mc.outcomes:
-        samples = outcome.metrics.storage_samples
+    for report in pooled.reports:
+        samples = report.metrics.storage_samples
         middle = len(samples) // 2
         window = samples[:middle] if half == 0 else samples[middle:]
         totals += max(window or [0])
-    return totals / len(mc.outcomes)
+    return totals / len(pooled.reports)
 
 
 def run_experiment():
@@ -55,22 +55,22 @@ def run_experiment():
             # Poll rate below drain capacity (see E3).
             retry_every=max(4, int(4 / (1.0 - flood)) if flood < 1 else 4),
         )
-        mc = monte_carlo(spec, runs=RUNS_PER_POINT, base_seed=index)
+        pooled = campaign(spec, RUNS_PER_POINT, index)
         rows.append(
             [
                 flood,
-                mc.mean_storage_peak_bits,
-                _half_peaks(mc, 0),
-                _half_peaks(mc, 1),
+                pooled.mean_storage_peak_bits,
+                _half_peaks(pooled, 0),
+                _half_peaks(pooled, 1),
                 sum(
-                    o.metrics.receiver_extensions
-                    + o.metrics.transmitter_extensions
-                    for o in mc.outcomes
+                    r.metrics.receiver_extensions
+                    + r.metrics.transmitter_extensions
+                    for r in pooled.reports
                 ),
                 sum(
-                    o.metrics.receiver_errors_counted
-                    + o.metrics.transmitter_errors_counted
-                    for o in mc.outcomes
+                    r.metrics.receiver_errors_counted
+                    + r.metrics.transmitter_errors_counted
+                    for r in pooled.reports
                 ),
             ]
         )

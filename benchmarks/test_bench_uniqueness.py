@@ -9,11 +9,11 @@ both stay below ε regardless of the flood.
 
 from __future__ import annotations
 
-from conftest import emit
+from conftest import campaign, emit
 
 from repro.adversary.random_faults import DuplicateFloodAdversary
 from repro.core.protocol import make_data_link
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.workload import SequentialWorkload
 from repro.util.tables import render_table
 
@@ -37,15 +37,15 @@ def run_experiment():
             # fixed cadence would diverge the queue at high f.
             retry_every=max(4, int(4 / (1.0 - flood))),
         )
-        mc = monte_carlo(spec, runs=RUNS_PER_POINT, base_seed=index)
+        pooled = campaign(spec, RUNS_PER_POINT, index)
         rows.append(
             [
                 flood,
-                mc.duplication_violation_rate.successes,
-                mc.replay_violation_rate.successes,
-                mc.duplication_violation_rate.trials,
-                mc.duplication_violation_rate.high,
-                mc.completion_rate,
+                pooled.duplication_violation_rate.successes,
+                pooled.replay_violation_rate.successes,
+                pooled.duplication_violation_rate.trials,
+                pooled.duplication_violation_rate.high,
+                pooled.completion_rate,
             ]
         )
     return rows

@@ -41,14 +41,7 @@ from repro.checkers import (
     check_liveness,
     progress_gaps,
 )
-from repro.sim import (
-    MonteCarloResult,
-    RunSpec,
-    SequentialWorkload,
-    SimulationResult,
-    Simulator,
-    monte_carlo,
-)
+from repro.sim import RunSpec, SequentialWorkload, SimulationResult, Simulator
 
 __version__ = "1.0.0"
 
@@ -58,7 +51,6 @@ __all__ = [
     "DataLink",
     "DataPacket",
     "FixedPolicy",
-    "MonteCarloResult",
     "PollPacket",
     "PrintedPaperPolicy",
     "ProtocolParams",
@@ -77,7 +69,6 @@ __all__ = [
     "check_all_safety",
     "check_liveness",
     "make_data_link",
-    "monte_carlo",
     "progress_gaps",
     "__version__",
 ]

@@ -13,7 +13,7 @@ from repro.adversary.base import (
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
 from repro.adversary.composite import MixtureAdversary, PhasedAdversary
 from repro.adversary.corruption import StateCorruptionAdversary
-from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.adversary.fairness import FairnessEnforcer, StallingAdversary
 from repro.adversary.random_faults import (
     DuplicateFloodAdversary,
@@ -43,7 +43,6 @@ __all__ = [
     "ReliableAdversary",
     "ReorderAdversary",
     "ReplayAttacker",
-    "ScheduledCrashAdversary",
     "StallingAdversary",
     "StateCorruptionAdversary",
     "TriggerRetry",

@@ -1,15 +1,18 @@
-"""Crash-focused adversaries for experiment E6.
+"""Crash-focused adversary for experiment E6.
 
 [LMF88] proved deterministic protocols cannot survive host crashes at all;
-these adversaries hammer exactly that capability.  They deliver packets
+this adversary hammers exactly that capability.  It delivers packets
 semi-reliably (so the protocol can make progress between crashes) while
-injecting crashes on various schedules.
+injecting crashes at random.  Crashes at exact turns are scripted with
+:class:`~repro.resilience.faultplan.CrashAt` events, which a
+:class:`~repro.resilience.faultplan.ScriptedAdversary` plays over benign
+FIFO delivery.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, Optional
 
 from repro.adversary.base import (
     CRASH_RECEIVER,
@@ -21,7 +24,7 @@ from repro.adversary.base import (
 )
 from repro.channel.channel import PacketInfo
 
-__all__ = ["CrashStormAdversary", "ScheduledCrashAdversary"]
+__all__ = ["CrashStormAdversary"]
 
 
 class CrashStormAdversary(Adversary):
@@ -74,46 +77,3 @@ class CrashStormAdversary(Adversary):
     def describe(self) -> str:
         return f"crash-storm(rate={self._crash_rate})"
 
-
-class ScheduledCrashAdversary(Adversary):
-    """Crashes at exact, predetermined turn numbers.
-
-    Deterministic schedules make the crash-recovery unit tests precise:
-    e.g. "crash the receiver on turn 12, mid-handshake" is reproducible
-    independent of any random tape.
-
-    Parameters
-    ----------
-    crash_turns:
-        Iterable of ``(turn_number, station)`` pairs with station one of
-        ``"T"`` or ``"R"``; turn numbers refer to this adversary's own move
-        counter.
-    """
-
-    def __init__(self, crash_turns: Iterable) -> None:
-        super().__init__()
-        schedule: List = sorted(crash_turns, key=lambda pair: pair[0])
-        for turn, station in schedule:
-            if station not in ("T", "R"):
-                raise ValueError(f"station must be 'T' or 'R', got {station!r}")
-            if turn < 0:
-                raise ValueError("turn numbers must be non-negative")
-        self._schedule = schedule
-        self._pending: Deque[PacketInfo] = deque()
-        self.crashes_injected = 0
-
-    def on_new_pkt(self, info: PacketInfo) -> None:
-        self._pending.append(info)
-
-    def _decide(self) -> Move:
-        if self._schedule and self.moves_made - 1 >= self._schedule[0][0]:
-            __, station = self._schedule.pop(0)
-            self.crashes_injected += 1
-            return CRASH_TRANSMITTER if station == "T" else CRASH_RECEIVER
-        if self._pending:
-            info = self._pending.popleft()
-            return make_deliver(info.channel, info.packet_id)
-        return PASS
-
-    def describe(self) -> str:
-        return f"scheduled-crash(remaining={len(self._schedule)})"

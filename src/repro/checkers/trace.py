@@ -60,7 +60,7 @@ from repro.core.events import (
 )
 from repro.core.exceptions import ConfigurationError, TraceRetentionError
 
-__all__ = ["Trace", "RETENTION_MODES"]
+__all__ = ["Trace", "RETENTION_MODES", "check_retention"]
 
 E = TypeVar("E", bound=Event)
 
@@ -68,6 +68,16 @@ Observer = Callable[[int, Event], None]
 
 #: The valid ``retain=`` arguments, in decreasing order of memory appetite.
 RETENTION_MODES = ("full", "tail", "none")
+
+
+def check_retention(retain: str, tail_size: int) -> None:
+    """Raise ``ConfigurationError`` unless a trace can keep ``retain``."""
+    if retain not in RETENTION_MODES:
+        raise ConfigurationError(
+            f"retain must be one of {RETENTION_MODES}, got {retain!r}"
+        )
+    if retain == "tail" and tail_size < 1:
+        raise ConfigurationError("tail_size must be >= 1")
 
 
 class Trace:
@@ -79,12 +89,7 @@ class Trace:
         retain: str = "full",
         tail_size: int = 256,
     ) -> None:
-        if retain not in RETENTION_MODES:
-            raise ConfigurationError(
-                f"retain must be one of {RETENTION_MODES}, got {retain!r}"
-            )
-        if retain == "tail" and tail_size < 1:
-            raise ConfigurationError("tail_size must be >= 1")
+        check_retention(retain, tail_size)
         self._retain = retain
         self._is_full = retain == "full"
         self._events: List[Event] = []

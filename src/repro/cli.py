@@ -57,7 +57,7 @@ from repro.perf.bench import (
     dump,
     run_bench,
 )
-from repro.sim.runner import RunSpec, monte_carlo
+from repro.sim.runner import RunSpec
 from repro.sim.simulator import ENGINES, Simulator
 from repro.sim.workload import SequentialWorkload
 from repro.util.stats import wilson_interval
@@ -362,8 +362,11 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_loss(args: argparse.Namespace) -> int:
+    from repro.resilience.supervisor import CampaignConfig, run_campaign
+
     losses = [float(x) for x in args.losses.split(",") if x.strip()]
     rows = []
+    missing = []
     for loss in losses:
         spec = RunSpec(
             link_factory=lambda seed: make_data_link(
@@ -376,20 +379,31 @@ def _cmd_sweep_loss(args: argparse.Namespace) -> int:
             max_steps=300_000,
             label=f"loss={loss:g}",
         )
-        mc = monte_carlo(spec, runs=args.runs, base_seed=int(loss * 1000))
+        result = run_campaign(
+            spec, args.runs, base_seed=int(loss * 1000),
+            config=CampaignConfig(in_process=True),
+        )
         rows.append([
             spec.label,
             loss,
-            mc.mean_packets_per_message,
+            result.mean_packets_per_message,
             expected_handshake_packets(loss),
-            mc.completion_rate,
+            result.completion_rate,
         ])
+        missing += [
+            f"{spec.label} run {r.index} (seed {r.seed}) {r.status.value}: "
+            + (r.error or "-").strip().splitlines()[-1]
+            for r in result.reports
+            if not r.has_data
+        ]
     print(render_table(
         ["label", "loss", "pkts/msg", "analytic 2/(1-p)", "completion"],
         rows,
         title="packets per message vs loss",
     ))
-    return 0
+    for line in missing:
+        print(f"no data from {line}", file=sys.stderr)
+    return 1 if missing else 0
 
 
 def _add_topology_options(parser: argparse.ArgumentParser) -> None:
@@ -581,13 +595,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(str(error))
-    if args.topology:
-        try:
+    try:
+        if args.topology:
             spec = _fabric_spec(args, args.messages)
-        except ConfigurationError as error:
-            raise SystemExit(str(error))
-    else:
-        spec = _campaign_spec(args, args.messages, plan)
+        else:
+            spec = _campaign_spec(args, args.messages, plan)
+    except (ConfigurationError, ValueError) as error:
+        raise SystemExit(str(error))
     result = run_campaign(
         spec, args.runs, base_seed=args.base_seed, config=config, fault_plan=plan
     )
@@ -616,7 +630,9 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             max_probes=args.max_probes,
         )
-    except ValueError as error:
+    except (ConfigurationError, ValueError) as error:
+        # A bad spec raises here too: the first probe builds it before
+        # running anything.
         raise SystemExit(str(error))
     print(render_table(
         ["", "messages", "events", "status", "probes"],

@@ -1,8 +1,11 @@
-"""Process-pool campaign supervisor: Monte-Carlo with fleet discipline.
+"""The Monte-Carlo engine: campaigns of seeded runs, with fleet discipline.
 
 :func:`run_campaign` executes the runs of a :class:`~repro.sim.RunSpec`
-in parallel worker processes with the retry/timeout/isolation behaviour a
-production harness needs:
+and pools their verdicts into one :class:`CampaignResult`, the only
+aggregate of seeded runs (per-condition Bernoulli estimates, completion,
+cost and storage figures).  It runs them in parallel worker processes,
+or all in the calling process with ``CampaignConfig(in_process=True)``,
+with the retry/timeout/isolation behaviour a production harness needs:
 
 * **per-run wall-clock timeout** — a watchdog inside the worker (SIGALRM
   on the main thread, an async-exception watchdog thread elsewhere)
@@ -33,10 +36,13 @@ its own single-run shard, and worker-death quarantine rounds run one run
 per pool exactly as before.
 
 Determinism: every per-run seed is ``derive_run_seed(base_seed, index,
-attempt)`` — shared with serial :func:`~repro.sim.runner.monte_carlo` —
-and retry/blame decisions depend only on per-run results, so a campaign's
-reports are identical for any ``jobs``, including fully serial
-in-process execution (wall-clock ``duration`` aside).
+attempt)``, and retry/blame decisions depend only on per-run results, so
+a campaign's reports are identical for any ``jobs``, including fully
+serial in-process execution (wall-clock ``duration`` aside).  Reports
+made in process keep each run's :class:`~repro.sim.metrics.SimulationMetrics`
+whole, the ``retain="full"`` storage series included; pool workers ship
+metrics through :meth:`~repro.sim.metrics.SimulationMetrics.to_wire`,
+which drops that series.
 
 Workers inherit the (possibly unpicklable) spec by forking, so arbitrary
 ``RunSpec`` factories — lambdas included — work unchanged.  On platforms
@@ -602,6 +608,16 @@ class CampaignResult:
         ]
         return sum(values) / len(values) if values else float("inf")
 
+    @property
+    def mean_storage_peak_bits(self) -> float:
+        """Mean over data runs of the peak combined nonce footprint."""
+        values = [
+            r.metrics.storage_peak_bits
+            for r in self.data_reports
+            if r.metrics is not None
+        ]
+        return sum(values) / len(values) if values else 0.0
+
     def _timed_metrics(self) -> List[SimulationMetrics]:
         return [
             r.metrics
@@ -771,7 +787,7 @@ class CampaignResult:
                 )
             ]
             + [["causality (count)", self.causality_violations, "-", "-"]],
-            title="pooled violation rates (completed runs only)",
+            title="pooled violation rates (runs with data)",
         )
         blocks = [summary, "", rates]
         if self.corruptions_injected > 0:

@@ -1,13 +1,7 @@
 """Simulation harness: the operational composition ``D(A, ADV)``."""
 
 from repro.sim.metrics import MetricsCollector, SimulationMetrics
-from repro.sim.runner import (
-    MonteCarloResult,
-    RunOutcome,
-    RunSpec,
-    monte_carlo,
-    run_once,
-)
+from repro.sim.runner import RunOutcome, RunSpec, run_once
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.workload import (
     ExplicitWorkload,
@@ -19,7 +13,6 @@ from repro.sim.workload import (
 __all__ = [
     "ExplicitWorkload",
     "MetricsCollector",
-    "MonteCarloResult",
     "RandomPayloadWorkload",
     "RunOutcome",
     "RunSpec",
@@ -28,6 +21,5 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "Workload",
-    "monte_carlo",
     "run_once",
 ]

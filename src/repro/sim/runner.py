@@ -1,47 +1,48 @@
-"""Monte-Carlo experiment runner.
+"""Single-link runs: the spec, one checked run, and run seeds.
 
 The probabilistic conditions of Section 2.6 are statements about
 distributions over executions; estimating them takes many independent runs
-with fresh random tapes.  :func:`monte_carlo` repeats a configurable run
-specification across seeds, evaluates every safety checker on every trace,
-and aggregates Bernoulli estimates (with Wilson intervals) per condition —
-the raw material for experiments E1, E3 and E6.
+with fresh random tapes.  A :class:`RunSpec` describes one run, and
+:func:`run_once` executes and checks it; a :class:`RunSession` executes
+many runs of one spec on a recycled harness.  Batches go through
+:func:`~repro.resilience.supervisor.run_campaign` (in process or in worker
+processes), whose :class:`~repro.resilience.supervisor.CampaignResult`
+pools every run's Bernoulli trials per condition (with Wilson intervals):
+the figures experiments E1, E3, E4, E7 and E8 read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.adversary.base import Adversary
 from repro.checkers.report import SafetyReport
 from repro.checkers.streaming import StreamingChecks
+from repro.checkers.trace import check_retention
 from repro.core.protocol import DataLink, make_data_link
 from repro.core.random_source import split_seed
 from repro.sim.metrics import SimulationMetrics
 from repro.sim.simulator import SimulationResult, Simulator, check_engine
 from repro.sim.workload import SequentialWorkload, Workload
-from repro.util.stats import BernoulliEstimate, wilson_interval
 
 __all__ = [
     "RunSpec",
     "RunOutcome",
     "RunSession",
-    "MonteCarloResult",
     "derive_run_seed",
     "run_once",
-    "monte_carlo",
 ]
 
 
 def derive_run_seed(base_seed: int, index: int, attempt: int) -> int:
     """The seed of one run of a batch: a pure function of its coordinates.
 
-    Every execution path — serial :func:`monte_carlo`, the in-process
-    campaign loop, and sharded pool workers — derives run seeds through
-    this one function, which is what makes their per-seed verdicts
-    bit-identical regardless of scheduling.  Retries get fresh tapes via
-    ``attempt`` without perturbing any other run's seed.
+    Every execution path — the in-process campaign loop and sharded pool
+    workers alike — derives run seeds through this one function, which is
+    what makes their per-seed verdicts bit-identical regardless of
+    scheduling.  Retries get fresh tapes via ``attempt`` without
+    perturbing any other run's seed.
     """
     return split_seed(base_seed, "campaign-run", index, attempt)
 
@@ -77,7 +78,17 @@ class RunSpec:
     engine: str = "kernel"
 
     def __post_init__(self) -> None:
+        # Reject here, with the run's own message, what every run built
+        # from this spec would reject, so a campaign fails before it starts.
         check_engine(self.engine)
+        check_retention(self.retain, self.tail_size)
+        for name in ("retry_every", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.enforce_fairness and self.fairness_patience < 1:
+            raise ValueError("patience must be >= 1")
+        if self.stabilization and self.stabilization_window < 1:
+            raise ValueError("window must be >= 1")
 
     @classmethod
     def default(
@@ -227,120 +238,3 @@ def run_once(spec: RunSpec, seed: int) -> RunOutcome:
     the returned outcome owns its trace and checkers.)
     """
     return RunSession(spec).run(seed)
-
-
-@dataclass
-class MonteCarloResult:
-    """Aggregated verdicts across many independent runs.
-
-    The per-condition estimates are over *trials*, not runs: e.g. the order
-    estimate pools every OK'd message of every run as one Bernoulli trial,
-    matching the theorem's per-message quantification.
-    """
-
-    spec: RunSpec
-    runs: int
-    outcomes: List[RunOutcome] = field(repr=False, default_factory=list)
-
-    def _pool(self, picker: Callable[[SafetyReport], Tuple[int, int]]) -> BernoulliEstimate:
-        failures = 0
-        trials = 0
-        for outcome in self.outcomes:
-            f, t = picker(outcome.safety)
-            failures += f
-            trials += t
-        return wilson_interval(failures, trials)
-
-    @property
-    def order_violation_rate(self) -> BernoulliEstimate:
-        """Per-OK'd-message rate of Theorem 3 (order) violations."""
-        return self._pool(lambda s: (s.order.failure_count, s.order.trials))
-
-    @property
-    def duplication_violation_rate(self) -> BernoulliEstimate:
-        """Per-delivery rate of Theorem 8 (no duplication) violations."""
-        return self._pool(
-            lambda s: (s.no_duplication.failure_count, s.no_duplication.trials)
-        )
-
-    @property
-    def replay_violation_rate(self) -> BernoulliEstimate:
-        """Per-delivery rate of Theorem 7 (no replay) violations."""
-        return self._pool(lambda s: (s.no_replay.failure_count, s.no_replay.trials))
-
-    @property
-    def causality_violations(self) -> int:
-        """Absolute count — Theorem 1 allows exactly zero."""
-        return sum(o.safety.causality.failure_count for o in self.outcomes)
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of runs that finished their workload within budget."""
-        if not self.outcomes:
-            return 0.0
-        return sum(1 for o in self.outcomes if o.result.completed) / len(self.outcomes)
-
-    @property
-    def any_safety_violation(self) -> bool:
-        """True iff any run violated any safety condition."""
-        return any(not o.safety.passed for o in self.outcomes)
-
-    @property
-    def mean_packets_per_message(self) -> float:
-        """Mean over runs of packets-per-OK'd-message."""
-        values = [
-            o.metrics.per_message_packets
-            for o in self.outcomes
-            if o.metrics.messages_ok > 0
-        ]
-        return sum(values) / len(values) if values else float("inf")
-
-    @property
-    def mean_storage_peak_bits(self) -> float:
-        """Mean over runs of the peak combined nonce footprint."""
-        if not self.outcomes:
-            return 0.0
-        return sum(o.metrics.storage_peak_bits for o in self.outcomes) / len(
-            self.outcomes
-        )
-
-    @property
-    def steps_per_second(self) -> float:
-        """Pooled simulation throughput: total steps over total wall time."""
-        wall = sum(o.metrics.wall_seconds for o in self.outcomes)
-        if wall <= 0.0:
-            return 0.0
-        return sum(o.metrics.steps for o in self.outcomes) / wall
-
-    @property
-    def events_per_second(self) -> float:
-        """Pooled recording throughput: total events over total wall time."""
-        wall = sum(o.metrics.wall_seconds for o in self.outcomes)
-        if wall <= 0.0:
-            return 0.0
-        return sum(o.metrics.events_recorded for o in self.outcomes) / wall
-
-    @property
-    def checker_overhead_ratio(self) -> float:
-        """Pooled share of wall time spent in the online checkers."""
-        wall = sum(o.metrics.wall_seconds for o in self.outcomes)
-        if wall <= 0.0:
-            return 0.0
-        return sum(o.metrics.checker_seconds for o in self.outcomes) / wall
-
-
-def monte_carlo(spec: RunSpec, runs: int, base_seed: int = 0) -> MonteCarloResult:
-    """Run ``runs`` independent simulations of ``spec`` serially and aggregate.
-
-    Every outcome is kept, so the result pools per-condition trials across
-    runs.  Run seeds come from :func:`derive_run_seed`, as in
-    :func:`~repro.resilience.supervisor.run_campaign`, which runs the same
-    spec in worker processes (with timeouts and retries) and reaches the
-    same per-seed verdicts.
-    """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    # Fresh objects per run (not a RunSession): MonteCarloResult keeps every
-    # outcome alive, so their traces must not share one recycled simulator.
-    outcomes = [run_once(spec, derive_run_seed(base_seed, i, 0)) for i in range(runs)]
-    return MonteCarloResult(spec=spec, runs=runs, outcomes=outcomes)

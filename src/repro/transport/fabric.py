@@ -51,7 +51,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.adversary.base import PASS, Adversary, Move, PacketInfo, make_deliver
 from repro.checkers.endtoend import EndToEndMonitor
-from repro.checkers.trace import Trace
+from repro.checkers.trace import Trace, check_retention
 from repro.core.events import OK, ReceiveMsg, make_receive_msg, make_send_msg
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
@@ -266,6 +266,7 @@ class FabricSpec:
             raise ConfigurationError("messages must be >= 0")
         check_rates(fail_rate=self.fail_rate, repair_rate=self.repair_rate)
         check_engine(self.engine)
+        check_retention(self.retain, self.tail_size)
 
     def build_network(self) -> Network:
         """The topology instance this spec runs over."""

@@ -1,11 +1,11 @@
-"""Unit tests for crash-injecting adversaries."""
+"""Unit tests for the random crash-injecting adversary."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.adversary.base import CrashReceiver, CrashTransmitter, Deliver
-from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.channel.channel import PacketInfo
 from repro.core.events import ChannelId
 from repro.core.random_source import RandomSource
@@ -53,31 +53,3 @@ class TestCrashStorm:
         with pytest.raises(ValueError):
             CrashStormAdversary(target_transmitter=False, target_receiver=False)
 
-
-class TestScheduledCrash:
-    def test_fires_at_exact_turns(self):
-        adv = ScheduledCrashAdversary([(2, "T"), (5, "R")])
-        adv.bind(RandomSource(0))
-        moves = [adv.next_move() for __ in range(8)]
-        assert isinstance(moves[2], CrashTransmitter)
-        assert isinstance(moves[5], CrashReceiver)
-        assert adv.crashes_injected == 2
-
-    def test_schedule_sorted_regardless_of_input_order(self):
-        adv = ScheduledCrashAdversary([(5, "R"), (2, "T")])
-        adv.bind(RandomSource(0))
-        moves = [adv.next_move() for __ in range(8)]
-        assert isinstance(moves[2], CrashTransmitter)
-
-    def test_delivers_fifo_otherwise(self):
-        adv = ScheduledCrashAdversary([(10, "T")])
-        adv.bind(RandomSource(0))
-        adv.on_new_pkt(info(0))
-        move = adv.next_move()
-        assert isinstance(move, Deliver)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ScheduledCrashAdversary([(1, "X")])
-        with pytest.raises(ValueError):
-            ScheduledCrashAdversary([(-1, "T")])

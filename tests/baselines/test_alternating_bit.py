@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.benign import ReliableAdversary
-from repro.adversary.crash import ScheduledCrashAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.baselines.alternating_bit import AbpReceiver, AbpTransmitter, make_abp_link
 from repro.baselines.base import AckFrame, Frame
 from repro.checkers.safety import check_all_safety
 from repro.core.events import EmitOk, EmitPacket, EmitReceiveMsg
 from repro.core.exceptions import ProtocolError
+from repro.resilience.faultplan import CrashAt, FaultPlan, ScriptedAdversary
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 
@@ -134,7 +134,12 @@ class TestAbpBehaviour:
         broken = 0
         for seed in range(8):
             result = self._run(
-                ScheduledCrashAdversary([(20 + seed, "R"), (45 + seed, "R")]),
+                ScriptedAdversary(
+                    FaultPlan.of(
+                        CrashAt(step=21 + seed, station="R"),
+                        CrashAt(step=46 + seed, station="R"),
+                    )
+                ),
                 seed=seed,
             )
             if not check_all_safety(result.trace).passed or not result.completed:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.benign import ReliableAdversary
-from repro.adversary.crash import ScheduledCrashAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.baselines.base import AckFrame, Frame
 from repro.baselines.stop_and_wait import (
@@ -16,6 +15,7 @@ from repro.baselines.stop_and_wait import (
 from repro.checkers.safety import check_all_safety
 from repro.core.events import EmitOk, EmitReceiveMsg
 from repro.core.exceptions import ProtocolError
+from repro.resilience.faultplan import CrashAt, FaultPlan, ScriptedAdversary
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 
@@ -104,8 +104,12 @@ class TestBehaviour:
         broken = 0
         for seed in range(8):
             result = self._run(
-                ScheduledCrashAdversary(
-                    [(15 + seed, "T"), (30 + seed, "R"), (45 + seed, "T")]
+                ScriptedAdversary(
+                    FaultPlan.of(
+                        CrashAt(step=16 + seed, station="T"),
+                        CrashAt(step=31 + seed, station="R"),
+                        CrashAt(step=46 + seed, station="T"),
+                    )
                 ),
                 seed=seed,
             )

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.checkers.safety import check_all_safety
 from repro.core.events import CrashT, Ok, SendMsg
 from repro.core.protocol import make_data_link
+from repro.resilience.faultplan import CrashAt, FaultPlan, ScriptedAdversary
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 
@@ -31,45 +32,66 @@ def run(adversary, messages=10, seed=0, link_seed=None, max_steps=100_000):
 class TestSingleCrashes:
     @pytest.mark.parametrize("turn", [3, 7, 11, 23])
     def test_transmitter_crash_anywhere_is_safe(self, turn):
-        result, __ = run(ScheduledCrashAdversary([(turn, "T")]))
+        result, __ = run(
+            ScriptedAdversary(FaultPlan.of(CrashAt(step=turn + 1, station="T")))
+        )
         assert result.completed
         assert check_all_safety(result.trace).passed
 
     @pytest.mark.parametrize("turn", [3, 7, 11, 23])
     def test_receiver_crash_anywhere_is_safe(self, turn):
-        result, __ = run(ScheduledCrashAdversary([(turn, "R")]))
+        result, __ = run(
+            ScriptedAdversary(FaultPlan.of(CrashAt(step=turn + 1, station="R")))
+        )
         assert result.completed
         assert check_all_safety(result.trace).passed
 
     def test_transmitter_crash_loses_at_most_inflight_message(self):
-        result, __ = run(ScheduledCrashAdversary([(9, "T")]), messages=10)
+        result, __ = run(
+            ScriptedAdversary(FaultPlan.of(CrashAt(step=10, station="T"))),
+            messages=10,
+        )
         assert result.metrics.messages_ok >= 9
 
     def test_receiver_crash_loses_no_messages(self):
         # The paper's sentinel argument: after crash^R the receiver still
         # recognises the in-flight message as new.
-        result, __ = run(ScheduledCrashAdversary([(9, "R")]), messages=10)
+        result, __ = run(
+            ScriptedAdversary(FaultPlan.of(CrashAt(step=10, station="R"))),
+            messages=10,
+        )
         assert result.metrics.messages_ok == 10
 
 
 class TestDoubleCrashes:
     def test_back_to_back_crashes(self):
-        result, __ = run(ScheduledCrashAdversary([(9, "T"), (10, "R")]))
+        result, __ = run(
+            ScriptedAdversary(
+                FaultPlan.of(
+                    CrashAt(step=10, station="T"), CrashAt(step=11, station="R")
+                )
+            )
+        )
         assert result.completed
         assert check_all_safety(result.trace).passed
 
     def test_simultaneous_style_crash_storm(self):
-        schedule = [(i, "T") for i in range(5, 80, 10)] + [
-            (i, "R") for i in range(8, 80, 10)
-        ]
-        result, __ = run(ScheduledCrashAdversary(schedule), messages=12)
+        schedule = [CrashAt(step=step, station="T") for step in range(6, 80, 10)]
+        schedule += [CrashAt(step=step, station="R") for step in range(9, 80, 10)]
+        result, __ = run(ScriptedAdversary(FaultPlan.of(*schedule)), messages=12)
         assert check_all_safety(result.trace).passed
         assert result.completed
 
 
 class TestMemoryErasure:
     def test_counters_reset_by_crash(self):
-        result, link = run(ScheduledCrashAdversary([(30, "T"), (31, "R")]))
+        result, link = run(
+            ScriptedAdversary(
+                FaultPlan.of(
+                    CrashAt(step=31, station="T"), CrashAt(step=32, station="R")
+                )
+            )
+        )
         assert result.completed
         # Post-run state reflects the last message only, not history.
         assert link.transmitter.generation == 1
@@ -94,7 +116,10 @@ class TestMemoryErasure:
 
 class TestCrashResolutionSemantics:
     def test_crashed_messages_are_crash_resolved(self):
-        result, __ = run(ScheduledCrashAdversary([(6, "T")]), messages=8)
+        result, __ = run(
+            ScriptedAdversary(FaultPlan.of(CrashAt(step=7, station="T"))),
+            messages=8,
+        )
         # Each send_msg stays pending until the OK or crash^T after it.
         outcomes = []
         for event in result.trace:

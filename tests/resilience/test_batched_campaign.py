@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.adversary.crash import ScheduledCrashAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.core.protocol import make_data_link
-from repro.resilience.faultplan import AbortAt, FaultPlan
+from repro.resilience.faultplan import AbortAt, CrashAt, FaultPlan, ScriptedAdversary
 from repro.resilience.supervisor import (
     CampaignConfig,
     RunReport,
@@ -28,7 +27,7 @@ from repro.resilience.supervisor import (
     run_campaign,
 )
 from repro.sim.metrics import SimulationMetrics
-from repro.sim.runner import RunSession, RunSpec, monte_carlo, run_once
+from repro.sim.runner import RunSession, RunSpec, run_once
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 from tests.resilience.conftest import make_paper_spec
@@ -185,7 +184,9 @@ def test_simulator_reset_identical_to_fresh_after_crash_fault_run():
         )
 
     crashy_link, crashy_workload = components(101)
-    crashy = ScheduledCrashAdversary([(6, "R"), (14, "T")])
+    crashy = ScriptedAdversary(
+        FaultPlan.of(CrashAt(step=7, station="R"), CrashAt(step=15, station="T"))
+    )
     sim = Simulator(crashy_link, crashy, crashy_workload, seed=5, max_steps=50_000)
     first = sim.run()
     assert first.metrics.crashes_t + first.metrics.crashes_r > 0
@@ -221,33 +222,32 @@ def test_session_invalidates_after_in_run_exception():
     assert after == outcome_fingerprint(run_once(spec, seed))
 
 
-# -- monte_carlo parity ------------------------------------------------------------
+# -- pooled runs against fresh ones ------------------------------------------------
 
 
-def test_monte_carlo_serial_vs_parallel_identical_per_seed_verdicts():
+def test_pooled_campaign_matches_fresh_runs_per_seed():
     # The campaign pool must forward retention and factories through the
-    # batched engine: same seeds, same statuses, same per-condition counts.
-    # Nine runs over two workers make shards of two, so a pooled session is
-    # reused across runs while its trace keeps only a tail.
-    spec = make_lossy_spec()
-    spec.retain = "tail"
-    spec.tail_size = 32
+    # batched engine: each pooled report matches a fresh run at its seed,
+    # statuses and per-condition counts alike.  Nine runs over two workers
+    # make shards of two, so a pooled session is reused across runs while
+    # its trace keeps only a tail.
+    spec = dataclasses.replace(make_lossy_spec(), retain="tail", tail_size=32)
     config = CampaignConfig(jobs=2)
     assert config.resolve_chunk_size(9) == 2
-    serial = monte_carlo(spec, runs=9, base_seed=13)
-    parallel = run_campaign(spec, 9, base_seed=13, config=config)
-    assert parallel.status_counts["ok"] == 9
-    for outcome, report in zip(serial.outcomes, parallel.reports):
-        assert report.seed == outcome.seed
-        assert report.completed == outcome.result.completed
-        assert report.steps == outcome.result.steps
+    pooled = run_campaign(spec, 9, base_seed=13, config=config)
+    assert pooled.status_counts["ok"] == 9
+    order_trials = 0
+    for index, report in enumerate(pooled.reports):
+        fresh = run_once(spec, derive_run_seed(13, index, 0))
+        assert report.seed == fresh.seed
+        assert report.completed == fresh.result.completed
+        assert report.steps == fresh.result.steps
         assert report.safety_summary == {
             r.condition: (r.failure_count, r.trials)
-            for r in outcome.safety.all_reports
+            for r in fresh.safety.all_reports
         }
-    assert parallel.order_violation_rate.trials == (
-        serial.order_violation_rate.trials
-    )
+        order_trials += fresh.safety.order.trials
+    assert pooled.order_violation_rate.trials == order_trials
 
 
 # -- throughput reporting ----------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Every harness that interprets a plan (the simulator's scripted adversary,
 the live chaos proxy, the relay fabric) reads the same schedule, so these
-tests pin where each event kind is filed, and how the simulator reads
-events that share a turn.
+tests pin where each event kind is filed, how a crash plan plays over
+FIFO delivery, and how the simulator reads events that share a turn.
 """
 
 from __future__ import annotations
@@ -12,7 +12,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.adversary.base import CrashReceiver, CrashTransmitter, Deliver, Pass
+from repro.channel.channel import PacketInfo
 from repro.core.events import ChannelId, Corruption, CrashR, CrashT
+from repro.core.random_source import RandomSource
 from repro.resilience.faultplan import (
     AbortAt,
     CorruptAt,
@@ -110,6 +113,26 @@ def test_wants_stabilization_reads_scrambles_only():
         CorruptAt(step=2, station="R", mode="wipe"), CrashAt(step=3, station="T")
     ).wants_stabilization
     assert not FaultPlan().wants_stabilization
+
+
+def test_a_crash_plan_crashes_on_its_turns_and_delivers_fifo_otherwise():
+    # Plan order across turns does not matter; every move no crash takes
+    # delivers the announced packets in order, and passes once none wait.
+    adversary = ScriptedAdversary(
+        FaultPlan.of(CrashAt(step=4, station="R"), CrashAt(step=2, station="T"))
+    )
+    adversary.bind(RandomSource(0))
+    for packet_id in (1, 2, 3):
+        adversary.on_new_pkt(
+            PacketInfo(channel=ChannelId.T_TO_R, packet_id=packet_id, length_bits=64)
+        )
+    moves = [adversary.next_move() for _ in range(6)]
+    assert [type(move) for move in moves] == [
+        Deliver, CrashTransmitter, Deliver, CrashReceiver, Deliver, Pass,
+    ]
+    assert [move.packet_id for move in moves if isinstance(move, Deliver)] == [
+        1, 2, 3,
+    ]
 
 
 # -- events that share a turn -------------------------------------------------------

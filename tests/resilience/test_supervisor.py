@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
 from repro.resilience.faultplan import AbortAt, FaultPlan, HangAt
 from repro.resilience.supervisor import (
     CampaignConfig,
@@ -19,6 +20,7 @@ from tests.resilience.conftest import (
     REPRO_BASE_SEED,
     REPRO_RUN_INDEX,
     crash_then_replay_plan,
+    make_paper_spec,
 )
 
 
@@ -157,7 +159,7 @@ def test_pool_timeout_interrupts_hung_worker(paper_spec):
     assert result.reports[1].status is RunStatus.OK
 
 
-def test_monte_carlo_parallel_returns_campaign_aggregates(paper_spec):
+def test_pool_campaign_returns_aggregates(paper_spec):
     result = run_campaign(
         paper_spec, 3, base_seed=2, config=CampaignConfig(jobs=2)
     )
@@ -165,6 +167,53 @@ def test_monte_carlo_parallel_returns_campaign_aggregates(paper_spec):
     assert result.order_violation_rate.trials > 0
     assert not result.any_safety_violation
     assert result.status_counts["ok"] == 3
+
+
+# -- pooled aggregates --------------------------------------------------------------
+
+
+def _in_process(spec, runs, base_seed=0):
+    return run_campaign(spec, runs, base_seed, CampaignConfig(in_process=True))
+
+
+def test_trials_pool_per_ok_message_across_runs():
+    result = _in_process(make_paper_spec(messages=4), 5)
+    assert result.missing_data == 0
+    assert result.order_violation_rate.trials == 20  # 4 messages x 5 runs
+    for rate in (
+        result.order_violation_rate,
+        result.duplication_violation_rate,
+        result.replay_violation_rate,
+    ):
+        assert rate.successes == 0
+    assert result.causality_violations == 0
+
+
+def test_packets_per_message_rise_with_loss(paper_spec):
+    costs = [
+        _in_process(
+            dataclasses.replace(
+                paper_spec,
+                adversary_factory=lambda loss=loss: RandomFaultAdversary(
+                    FaultProfile(loss=loss)
+                ),
+            ),
+            3,
+            index,
+        ).mean_packets_per_message
+        for index, loss in enumerate((0.0, 0.5))
+    ]
+    assert 2.0 <= costs[0] <= 4.0
+    assert costs[1] > costs[0]
+
+
+def test_mean_storage_peak_is_positive(paper_spec):
+    assert _in_process(paper_spec, 3).mean_storage_peak_bits > 0
+
+
+def test_zero_runs_rejected(paper_spec):
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        run_campaign(paper_spec, 0)
 
 
 def test_render_lists_every_status_and_label(strawman_spec):

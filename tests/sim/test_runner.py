@@ -1,4 +1,4 @@
-"""Unit tests for the Monte-Carlo runner and aggregation."""
+"""Unit tests for run specs and single checked runs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.adversary.benign import ReliableAdversary
 from repro.adversary.random_faults import FaultProfile, RandomFaultAdversary
-from repro.sim.runner import RunSpec, monte_carlo, run_once
+from repro.core.exceptions import ConfigurationError
+from repro.sim.runner import RunSpec, run_once
 from repro.transport.fabric import FabricSpec
 
 
@@ -39,48 +40,7 @@ class TestRunOnce:
         assert len(packet_counts) > 1
 
 
-class TestMonteCarlo:
-    def test_aggregates_runs(self):
-        result = monte_carlo(spec(), runs=5, base_seed=0)
-        assert result.runs == 5
-        assert len(result.outcomes) == 5
-        assert result.completion_rate == 1.0
-
-    def test_clean_protocol_has_zero_violation_rates(self):
-        result = monte_carlo(spec(), runs=5)
-        assert result.order_violation_rate.successes == 0
-        assert result.duplication_violation_rate.successes == 0
-        assert result.replay_violation_rate.successes == 0
-        assert result.causality_violations == 0
-        assert not result.any_safety_violation
-
-    def test_trials_pool_across_runs(self):
-        result = monte_carlo(spec(messages=4), runs=5)
-        assert result.order_violation_rate.trials == 20  # 4 msgs x 5 runs
-
-    def test_packet_metric(self):
-        result = monte_carlo(spec(), runs=3)
-        assert 2.0 <= result.mean_packets_per_message <= 4.0
-
-    def test_storage_metric(self):
-        result = monte_carlo(spec(), runs=3)
-        assert result.mean_storage_peak_bits > 0
-
-    def test_loss_increases_cost(self):
-        costs = [
-            monte_carlo(
-                spec(lambda: RandomFaultAdversary(FaultProfile(loss=loss))),
-                runs=3,
-                base_seed=index,
-            ).mean_packets_per_message
-            for index, loss in enumerate((0.0, 0.5))
-        ]
-        assert costs[1] > costs[0]
-
-    def test_rejects_zero_runs(self):
-        with pytest.raises(ValueError):
-            monte_carlo(spec(), runs=0)
-
+class TestRunSpec:
     def test_default_spec_shape(self):
         s = RunSpec.default()
         assert s.workload_factory(0).message_count == 20
@@ -90,6 +50,40 @@ class TestMonteCarlo:
         # A misspelt engine fails the spec, not every run built from it.
         with pytest.raises(ValueError, match="engine must be"):
             RunSpec.default(engine="kernal")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"retain": "most"},
+            {"retain": "tail", "tail_size": 0},
+            {"retry_every": 0},
+            {"max_steps": 0},
+            {"fairness_patience": 0},
+            {"stabilization": True, "stabilization_window": 0},
+        ],
+        ids=["retain", "tail_size", "retry_every", "max_steps",
+             "fairness_patience", "stabilization_window"],
+    )
+    def test_values_every_run_rejects_fail_the_spec(self, overrides):
+        # The spec raises what a run built from it would raise, so a
+        # campaign fails before it schedules (and retries) a single run.
+        with pytest.raises((ConfigurationError, ValueError)) as spec_error:
+            RunSpec.default(messages=1, **overrides)
+        unchecked = RunSpec.default(messages=1)
+        for name, value in overrides.items():
+            setattr(unchecked, name, value)
+        with pytest.raises(type(spec_error.value)) as run_error:
+            run_once(unchecked, seed=1)
+        assert str(run_error.value) == str(spec_error.value)
+
+    def test_values_no_run_reads_are_accepted(self):
+        for overrides in (
+            {"retain": "none", "tail_size": 0},
+            {"enforce_fairness": False, "fairness_patience": 0},
+            {"stabilization": False, "stabilization_window": 0},
+        ):
+            accepted = RunSpec.default(messages=1, **overrides)
+            assert run_once(accepted, seed=1).result.completed
 
     def test_fabric_spec_rejects_unknown_engine_alike(self):
         # One check serves both specs: same exception, same message.

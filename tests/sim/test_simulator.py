@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.adversary.benign import DelayedFifoAdversary, ReliableAdversary
-from repro.adversary.crash import CrashStormAdversary, ScheduledCrashAdversary
+from repro.adversary.crash import CrashStormAdversary
 from repro.adversary.fairness import FairnessEnforcer, StallingAdversary
 from repro.adversary.random_faults import (
     DuplicateFloodAdversary,
@@ -20,6 +20,7 @@ from repro.checkers.safety import check_all_safety
 from repro.core.events import Ok, PktDelivered, PktSent, ReceiveMsg, Retry, SendMsg
 from repro.core.exceptions import ConfigurationError
 from repro.core.protocol import make_data_link
+from repro.resilience.faultplan import CrashAt, FaultPlan, ScriptedAdversary
 from repro.sim.simulator import Simulator
 from repro.sim.workload import SequentialWorkload
 
@@ -86,7 +87,7 @@ class TestFaultyRuns:
 
 class TestCrashHandling:
     def test_scheduled_transmitter_crash(self):
-        adv = ScheduledCrashAdversary([(10, "T")])
+        adv = ScriptedAdversary(FaultPlan.of(CrashAt(step=11, station="T")))
         result = run(adv, messages=10, seed=5)
         assert result.completed
         assert result.metrics.crashes_t == 1
@@ -95,14 +96,18 @@ class TestCrashHandling:
         assert check_all_safety(result.trace).passed
 
     def test_scheduled_receiver_crash(self):
-        adv = ScheduledCrashAdversary([(10, "R")])
+        adv = ScriptedAdversary(FaultPlan.of(CrashAt(step=11, station="R")))
         result = run(adv, messages=10, seed=6)
         assert result.completed
         assert result.metrics.crashes_r == 1
         assert check_all_safety(result.trace).passed
 
     def test_crash_storm_trace_consistency(self):
-        adv = ScheduledCrashAdversary([(i, "T" if i % 10 else "R") for i in range(5, 60, 5)])
+        storm = [
+            CrashAt(step=i + 1, station="T" if i % 10 else "R")
+            for i in range(5, 60, 5)
+        ]
+        adv = ScriptedAdversary(FaultPlan.of(*storm))
         result = run(adv, messages=10, seed=7, max_steps=100_000)
         report = check_all_safety(result.trace)
         assert report.causality.passed

@@ -111,6 +111,17 @@ class TestSweepCommand:
         main(["sweep-loss", "--losses", "0.2", "--runs", "1", "--messages", "4"])
         assert "loss=0.2" in capsys.readouterr().out
 
+    def test_sweep_names_runs_without_data_and_fails(self, capsys):
+        # epsilon = 2^-0 = 1 is no security parameter: every run crashes.
+        code = main([
+            "sweep-loss", "--losses", "0", "--runs", "2", "--messages", "4",
+            "--epsilon-bits", "0",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "loss=0 run 0" in err and "loss=0 run 1" in err
+        assert "crashed" in err and "epsilon must be in (0, 1)" in err
+
 
 def _crash_then_replay_plan(run: int) -> FaultPlan:
     return FaultPlan.of(
@@ -147,6 +158,20 @@ class TestCampaignCommand:
         assert len(campaigns) == 1
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-steps", "0"], "max_steps must be >= 1"),
+        (["--corrupt-rate", "0.01", "--corrupt-window", "0"],
+         "window must be >= 1"),
+        (["--topology", "line", "--max-steps", "0"], "max_ticks must be >= 1"),
+        (["--topology", "line", "--retain", "tail", "--tail-size", "0"],
+         "tail_size must be >= 1"),
+    ], ids=["max-steps", "corrupt-window", "fabric-max-steps", "fabric-tail"])
+    def test_bad_spec_exits_before_any_run(self, argv, message, capsys):
+        with pytest.raises(SystemExit, match=message):
+            main(["campaign", "--runs", "8", "--retries", "2", *argv])
+        assert capsys.readouterr().out == ""
+
+
 class TestShrinkCommand:
     def test_shrink_reports_minimal_repro(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
@@ -165,6 +190,19 @@ class TestShrinkCommand:
         assert "safety_failed" in out
         reloaded = FaultPlan.load(str(out_path))
         assert len(reloaded.events) >= 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "max_steps must be >= 1"),
+        (["--topology", "line"], "max_ticks must be >= 1"),
+    ], ids=["link", "fabric"])
+    def test_bad_spec_exits_before_any_probe(self, argv, message, tmp_path):
+        plan_path = tmp_path / "plan.json"
+        _crash_then_replay_plan(run=0).save(str(plan_path))
+        with pytest.raises(SystemExit, match=message):
+            main([
+                "shrink", "--fault-plan", str(plan_path), "--seed", "1",
+                "--max-steps", "0", *argv,
+            ])
 
     def test_shrink_refuses_passing_repro(self, tmp_path):
         plan_path = tmp_path / "empty.json"

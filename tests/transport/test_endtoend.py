@@ -308,6 +308,11 @@ class TestRelayFabric:
             FabricSpec(topology="torus")
         with pytest.raises(ConfigurationError):
             FabricSpec(window=0)
+        # Retention values every run's trace would refuse fail the spec.
+        with pytest.raises(ConfigurationError, match="retain must be"):
+            FabricSpec(retain="most")
+        with pytest.raises(ConfigurationError, match="tail_size must be"):
+            FabricSpec(retain="tail", tail_size=0)
         for rates in ({"fail_rate": 1.5}, {"fail_rate": -0.1},
                       {"repair_rate": 2.0}):
             with pytest.raises(ConfigurationError):
